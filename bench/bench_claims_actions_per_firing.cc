@@ -25,18 +25,15 @@ struct Measured {
   Engine::MatchStats match;
 };
 
-Measured Drain(const char* rule, int n, bool batched = true) {
-  EngineOptions opts;
-  opts.batched_wm = batched;
-  Engine engine(opts);
+Measured Drain(const char* rule, int n) {
+  Engine engine;
   engine.set_output(DevNull());
   MustLoad(engine, std::string(kPlayerSchema) + rule);
   for (int i = 0; i < n; ++i) {
     MustMake(engine, "player", {{"team", engine.Sym("A")},
                                 {"id", Value::Int(i)}});
   }
-  // Count only the firing phase: the n setup adds propagate identically
-  // in both modes.
+  // Count only the firing phase.
   engine.ResetMatchStats();
   Measured m;
   m.firings = MustRun(engine, 1000000);
@@ -45,11 +42,9 @@ Measured Drain(const char* rule, int n, bool batched = true) {
   return m;
 }
 
-/// Propagation waves the matchers saw during the drain: one per direct
-/// per-WME event plus one per committed batch.
-uint64_t Waves(const Measured& m) {
-  return m.match.wm.direct_events + m.match.wm.batches;
-}
+/// Propagation waves the matchers saw during the drain: one per committed
+/// batch.
+uint64_t Waves(const Measured& m) { return m.match.wm.batches; }
 
 void PrintActionsPerFiring() {
   std::printf("=== §1 claim: actions per rule firing ===\n");
@@ -66,27 +61,22 @@ void PrintActionsPerFiring() {
               "tuple-oriented stays 1)\n\n");
 }
 
-// Batched-WM ablation over the same set drain: with batched_wm the whole
-// firing reaches the matchers as ONE ChangeBatch (one propagation wave,
-// one S-node `:test` eval per touched SOI) instead of 2n per-WME waves.
-void PrintBatchedAblation() {
-  std::printf("=== batched-WM ablation: propagation per set firing ===\n");
-  std::printf("%8s | %10s %12s %12s | %10s %12s %12s\n", "batch",
-              "b-waves", "b-rightact", "b-testevals", "u-waves",
-              "u-rightact", "u-testevals");
+// Propagation over the same set drain: the whole firing reaches the
+// matchers as ONE ChangeBatch (one propagation wave, one S-node `:test`
+// eval per touched SOI).
+void PrintPropagation() {
+  std::printf("=== propagation per set firing ===\n");
+  std::printf("%8s | %10s %12s %12s\n", "batch", "waves", "rightact",
+              "testevals");
   for (int n : {8, 64, 512, 4096}) {
-    Measured b = Drain(kSetDrain, n, /*batched=*/true);
-    Measured u = Drain(kSetDrain, n, /*batched=*/false);
-    std::printf("%8d | %10llu %12llu %12llu | %10llu %12llu %12llu\n", n,
+    Measured b = Drain(kSetDrain, n);
+    std::printf("%8d | %10llu %12llu %12llu\n", n,
                 static_cast<unsigned long long>(Waves(b)),
                 static_cast<unsigned long long>(b.match.rete.right_activations),
-                static_cast<unsigned long long>(b.match.snode.test_evals),
-                static_cast<unsigned long long>(Waves(u)),
-                static_cast<unsigned long long>(u.match.rete.right_activations),
-                static_cast<unsigned long long>(u.match.snode.test_evals));
+                static_cast<unsigned long long>(b.match.snode.test_evals));
   }
-  std::printf("(shape: batched waves stay O(1) per firing and `:test` "
-              "evals one per touched SOI; unbatched grow O(n))\n\n");
+  std::printf("(shape: waves stay O(1) per firing and `:test` evals one per "
+              "touched SOI)\n\n");
 }
 
 void BM_DrainBatch(benchmark::State& state) {
@@ -105,32 +95,13 @@ void BM_DrainBatch(benchmark::State& state) {
 BENCHMARK(BM_DrainBatch)->Args({1, 64})->Args({0, 64})->Args({1, 1024})
     ->Args({0, 1024});
 
-// Timed batched-vs-unbatched ablation of the same set drain.
-void BM_DrainPropagationAblation(benchmark::State& state) {
-  bool batched = state.range(0) != 0;
-  int n = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    Measured m = Drain(kSetDrain, n, batched);
-    state.counters["prop_waves"] = static_cast<double>(Waves(m));
-    state.counters["test_evals"] =
-        static_cast<double>(m.match.snode.test_evals);
-    state.counters["right_activations"] =
-        static_cast<double>(m.match.rete.right_activations);
-    benchmark::DoNotOptimize(m.firings);
-  }
-  state.SetLabel(batched ? "batched" : "per-wme");
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_DrainPropagationAblation)
-    ->Args({1, 64})->Args({0, 64})->Args({1, 1024})->Args({0, 1024});
-
 }  // namespace
 }  // namespace bench
 }  // namespace sorel
 
 int main(int argc, char** argv) {
   sorel::bench::PrintActionsPerFiring();
-  sorel::bench::PrintBatchedAblation();
+  sorel::bench::PrintPropagation();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

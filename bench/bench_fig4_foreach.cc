@@ -67,17 +67,13 @@ BENCHMARK(BM_NestedForeachFiring)
     ->Args({256, 128})
     ->Args({2048, 16});
 
-// Batched-WM ablation on a foreach-driven drain: one firing modifies all
-// n members one by one. With batched_wm the n modifies commit as a single
-// ChangeBatch (one propagation wave, one S-node `:test` eval at flush);
-// per-WME mode pays 2n waves and re-evaluates the test per member change.
-void BM_ForeachModifyAblation(benchmark::State& state) {
-  bool batched = state.range(0) != 0;
-  int n = static_cast<int>(state.range(1));
+// A foreach-driven drain: one firing modifies all n members one by one,
+// and the n modifies commit as a single ChangeBatch (one propagation wave,
+// one S-node `:test` eval at flush).
+void BM_ForeachModifyDrain(benchmark::State& state) {
+  int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    EngineOptions opts;
-    opts.batched_wm = batched;
-    Engine engine(opts);
+    Engine engine;
     engine.set_output(DevNull());
     MustLoad(engine, std::string(kPlayerSchema) +
                          "(p drain { [player ^team <> done] <P> } -->"
@@ -87,15 +83,12 @@ void BM_ForeachModifyAblation(benchmark::State& state) {
     int fired = MustRun(engine, 1000000);
     benchmark::DoNotOptimize(fired);
     Engine::MatchStats m = engine.match_stats();
-    state.counters["prop_waves"] =
-        static_cast<double>(m.wm.direct_events + m.wm.batches);
+    state.counters["prop_waves"] = static_cast<double>(m.wm.batches);
     state.counters["test_evals"] = static_cast<double>(m.snode.test_evals);
   }
-  state.SetLabel(batched ? "batched" : "per-wme");
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ForeachModifyAblation)
-    ->Args({1, 256})->Args({0, 256})->Args({1, 2048})->Args({0, 2048});
+BENCHMARK(BM_ForeachModifyDrain)->Arg(256)->Arg(2048);
 
 // foreach ordering modes: default (conflict-set order) vs sorted.
 void BM_ForeachOrdering(benchmark::State& state) {

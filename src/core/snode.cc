@@ -1,6 +1,7 @@
 #include "core/snode.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "lang/eval.h"
@@ -149,16 +150,17 @@ void SNode::RebuildAggregates(Soi* soi) {
 }
 
 void SNode::OnToken(Token* token, bool added) {
+  assert(in_batch_ && "S-node tokens arrive only inside a batch");
   ++stats_.tokens;
   Row row;
   TokenRow(token, &row);
   SoiKey key = MakeSoiKey(*rule_, row);
-
-  enum class Chg { kNew, kDelete, kNewTime, kSameTime, kFail };
-  Chg chg;
   Soi* soi = FindOrNull(key);
 
   // --- Stage 1 (Figure 3): find the SOI and the place within it. ---
+  // Stages 2 and 3 — the `:test` and the flow decision — run once per
+  // touched SOI in OnBatchEnd.
+  bool head_changed;
   if (added) {
     Soi::Member member{token, row, RowRecency(row)};
     if (soi == nullptr) {
@@ -170,7 +172,7 @@ void SNode::OnToken(Token* token, bool added) {
       soi = fresh.get();
       gamma_.emplace(std::move(key), std::move(fresh));
       ++stats_.sois_created;
-      chg = Chg::kNew;
+      head_changed = true;
       soi->members_.push_back(std::move(member));
     } else {
       // Insert ordered like the conflict set: descending recency.
@@ -179,7 +181,7 @@ void SNode::OnToken(Token* token, bool added) {
              CompareRecencyTags(member.rec, soi->members_[i].rec) <= 0) {
         ++i;
       }
-      chg = (i == 0) ? Chg::kNewTime : Chg::kSameTime;
+      head_changed = (i == 0);
       soi->members_.insert(
           soi->members_.begin() + static_cast<ptrdiff_t>(i),
           std::move(member));
@@ -189,122 +191,39 @@ void SNode::OnToken(Token* token, bool added) {
     size_t i = 0;
     while (i < soi->members_.size() && soi->members_[i].token != token) ++i;
     if (i == soi->members_.size()) return;  // defensive
-    bool was_head = (i == 0);
+    head_changed = (i == 0);
     soi->members_.erase(soi->members_.begin() + static_cast<ptrdiff_t>(i));
-    if (soi->members_.empty()) {
-      chg = Chg::kDelete;
-    } else {
-      chg = was_head ? Chg::kNewTime : Chg::kSameTime;
-    }
   }
   ++soi->mutation_;
 
-  if (in_batch_) {
-    // Batch mode: maintain membership and aggregates only; the test and
-    // the flow decision run once per touched SOI in OnBatchEnd. The
-    // aggregate update is unconditional (even when the SOI just emptied):
-    // the SOI object survives until flush and may be refilled by a later
-    // change in the same batch, so its AV entries must stay in sync.
-    if (!options_.recompute_aggregates) {
-      for (size_t i = 0; i < soi->aggs_.size(); ++i) {
-        Value v = AggInputValue(rule_->test_aggregates[i], row);
-        if (added) {
-          soi->aggs_[i].Insert(v);
-        } else {
-          soi->aggs_[i].Remove(v);
-        }
-      }
-    }
-    if (!soi->batch_touched_) {
-      soi->batch_touched_ = true;
-      touched_.push_back(soi);
-    }
-    if (chg != Chg::kSameTime) soi->batch_head_changed_ = true;
-    return;
-  }
-
-  // --- Stage 2: update the aggregates and re-evaluate the test. ---
-  if (chg != Chg::kDelete) {
-    if (options_.recompute_aggregates) {
-      RebuildAggregates(soi);
-    } else {
-      for (size_t i = 0; i < soi->aggs_.size(); ++i) {
-        Value v = AggInputValue(rule_->test_aggregates[i], row);
-        if (added) {
-          soi->aggs_[i].Insert(v);
-        } else {
-          soi->aggs_[i].Remove(v);
-        }
-      }
-    }
-    if (!EvalTest(*soi)) chg = Chg::kFail;
-  }
-
-  // --- Stage 3: decide the flow of the SOI. ---
-  switch (chg) {
-    case Chg::kNew:
-      // Figure 3 activates unconditionally here, but the test was already
-      // evaluated in stage 2 (chg would be kFail had it failed).
-      soi->active_ = true;
-      cs_->Add(soi);
-      ++stats_.sends_plus;
-      break;
-    case Chg::kDelete: {
-      if (soi->active_) {
-        cs_->Remove(soi);
-        ++stats_.sends_minus;
-      }
-      // (The stored key outlives the member rows; copy before erasing —
-      // the erase destroys the Soi that owns it.)
-      SoiKey dead = soi->key_;
-      gamma_.erase(dead);
-      ++stats_.sois_deleted;
-      break;
-    }
-    case Chg::kFail:
-      if (soi->active_) {
-        soi->active_ = false;
-        cs_->Remove(soi);
-        ++stats_.sends_minus;
-      }
-      break;
-    case Chg::kNewTime:
-      if (soi->active_) {
-        cs_->Touch(soi);  // the `time` mark: reposition in the conflict set
-        ++stats_.sends_time;
+  // The aggregate update is unconditional (even when the SOI just emptied):
+  // the SOI object survives until the flush and may be refilled by a later
+  // change in the same batch, so its AV entries must stay in sync.
+  if (!options_.recompute_aggregates) {
+    for (size_t i = 0; i < soi->aggs_.size(); ++i) {
+      Value v = AggInputValue(rule_->test_aggregates[i], row);
+      if (added) {
+        soi->aggs_[i].Insert(v);
       } else {
-        soi->active_ = true;
-        cs_->Add(soi);
-        ++stats_.sends_plus;
+        soi->aggs_[i].Remove(v);
       }
-      break;
-    case Chg::kSameTime:
-      // Figure 3 sends nothing here; §6 still makes the SOI eligible again
-      // ("if any part of the instantiation changes"). Touch restores
-      // eligibility without repositioning. We also activate an inactive SOI
-      // whose test now passes — a completion of the paper's pseudocode
-      // (see DESIGN.md).
-      if (soi->active_) {
-        cs_->Touch(soi);
-      } else {
-        soi->active_ = true;
-        cs_->Add(soi);
-        ++stats_.sends_plus;
-      }
-      break;
+    }
   }
+  if (!soi->batch_touched_) {
+    soi->batch_touched_ = true;
+    touched_.push_back(soi);
+  }
+  if (head_changed) soi->batch_head_changed_ = true;
 }
 
-void SNode::OnBatchBegin() {
-  in_batch_ = true;
-  touched_.clear();
-}
+void SNode::OnBatchBegin() { in_batch_ = true; }
 
 void SNode::OnBatchEnd() {
   in_batch_ = false;
   ++stats_.batch_flushes;
-  // Flush in first-touch order: the order per-WME delivery would have
-  // reached each SOI's first conflict-set decision.
+  // Stages 2 and 3 of Figure 3, once per touched SOI, in first-touch order
+  // (the order a change-by-change walk reaches each SOI's first
+  // conflict-set decision).
   for (Soi* soi : touched_) {
     soi->batch_touched_ = false;
     bool head_changed = soi->batch_head_changed_;

@@ -69,7 +69,7 @@ class Soi : public InstantiationRef {
   std::vector<AggState> aggs_;
   bool active_ = false;
   uint64_t mutation_ = 0;
-  // --- batch-mode bookkeeping (meaningful only between OnBatchBegin/End) ---
+  // --- batch bookkeeping (meaningful only between OnBatchBegin/End) ---
   bool batch_touched_ = false;
   bool batch_head_changed_ = false;
 };
@@ -88,11 +88,10 @@ class SNode : public ReteSink {
     uint64_t sends_time = 0;
     uint64_t sois_created = 0;
     uint64_t sois_deleted = 0;
-    /// `:test` expression evaluations. Per-WME mode pays one per member
-    /// token; batch mode pays one per *touched SOI* per batch — the O(1)
-    /// evaluations-per-set-action the ISSUE acceptance criterion names.
+    /// `:test` expression evaluations: one per *touched SOI* per batch,
+    /// however many member tokens the batch carried.
     uint64_t test_evals = 0;
-    /// OnBatchEnd flushes performed.
+    /// OnBatchEnd flushes performed (batches that reached this rule).
     uint64_t batch_flushes = 0;
   };
 
@@ -107,12 +106,12 @@ class SNode : public ReteSink {
   SNode(const SNode&) = delete;
   SNode& operator=(const SNode&) = delete;
 
-  void OnToken(Token* token, bool added) override;
-  /// Batch mode: between Begin and End, OnToken only maintains γ-memory
-  /// membership and (incremental) aggregates; `:test` evaluation and the
-  /// flow decision are deferred to End — one evaluation and at most one
-  /// conflict-set send per touched SOI, however many member tokens the
+  /// Maintains γ-memory membership and (incremental) aggregates only; every
+  /// token arrives between OnBatchBegin and OnBatchEnd, and End makes the
+  /// `:test` evaluation and the flow decision — one evaluation and at most
+  /// one conflict-set send per touched SOI, however many member tokens the
   /// batch carried.
+  void OnToken(Token* token, bool added) override;
   void OnBatchBegin() override;
   void OnBatchEnd() override;
 
@@ -138,6 +137,8 @@ class SNode : public ReteSink {
   std::unordered_map<SoiKey, std::unique_ptr<Soi>, SoiKeyHash> gamma_;
   Status last_error_;
   Stats stats_;
+  /// Between OnBatchBegin and OnBatchEnd (checked by OnToken in debug
+  /// builds).
   bool in_batch_ = false;
   /// SOIs touched this batch, first-touch order (flush order).
   std::vector<Soi*> touched_;

@@ -154,39 +154,6 @@ Status DipsMatcher::RemoveRule(const CompiledRule* rule) {
   return Status::NotFound("rule not loaded: " + rule->name);
 }
 
-void DipsMatcher::OnAdd(const WmePtr& wme) {
-  obs::ScopedTimer timer(match_timer_);
-  for (const auto& rs : rules_) {
-    bool changed = false;
-    for (CondTable& table : rs->tables) {
-      if (!table.Accepts(*wme)) continue;
-      Status s = table.Insert(*wme);
-      if (!s.ok() && last_error_.ok()) last_error_ = s;
-      changed = true;
-    }
-    if (changed) {
-      Status s = Refresh(rs.get(), &stats_);
-      if (!s.ok() && last_error_.ok()) last_error_ = s;
-    }
-  }
-}
-
-void DipsMatcher::OnRemove(const WmePtr& wme) {
-  obs::ScopedTimer timer(match_timer_);
-  for (const auto& rs : rules_) {
-    bool changed = false;
-    for (CondTable& table : rs->tables) {
-      if (!table.Accepts(*wme)) continue;
-      table.RemoveTag(wme->time_tag());
-      changed = true;
-    }
-    if (changed) {
-      Status s = Refresh(rs.get(), &stats_);
-      if (!s.ok() && last_error_.ok()) last_error_ = s;
-    }
-  }
-}
-
 Status DipsMatcher::ReplayRule(RuleState* rs, const ChangeBatch& batch,
                                ConflictSet::Delta* delta, Stats* stats) {
   // Scoped: pool help-drain can nest another replay task inside this frame;
@@ -239,7 +206,7 @@ void DipsMatcher::OnBatch(const ChangeBatch& batch) {
       stats_.refreshes += stats[i].refreshes;
       if (!errors[i].ok() && last_error_.ok()) last_error_ = errors[i];
     }
-    cs_->ApplyDeltas(&deltas);
+    cs_->ApplyDeltas(deltas);
     return;
   }
   std::vector<RuleState*> touched;

@@ -64,14 +64,11 @@ class DipsMatcher : public Matcher {
   Status RemoveRule(const CompiledRule* rule) override;
   ConflictSet& conflict_set() override { return *cs_; }
 
-  void OnAdd(const WmePtr& wme) override;
-  void OnRemove(const WmePtr& wme) override;
-  /// Native batched propagation: applies every change to the COND tables
-  /// first, then recomputes each touched rule's match relation once —
-  /// DIPS's query-per-change becomes query-per-transaction (§8.1). Note
-  /// the coalescing is observable in one corner: an SOI whose membership
-  /// changes and reverts within the same transaction diffs as unchanged
-  /// and is not re-marked eligible.
+  /// Applies every change to the COND tables first, then recomputes each
+  /// touched rule's match relation once — DIPS's query-per-change becomes
+  /// query-per-transaction (§8.1). Note the coalescing is observable in one
+  /// corner: an SOI whose membership changes and reverts within the same
+  /// transaction diffs as unchanged and is not re-marked eligible.
   void OnBatch(const ChangeBatch& batch) override;
 
   /// The rule's full match relation: tag columns `t<pos>` per positive CE

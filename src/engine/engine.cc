@@ -139,7 +139,6 @@ Engine::Engine(EngineOptions options, RuleBasePtr base)
     run_stats_ = {};
     parallel_stats_ = {};
   });
-  rhs_.set_transactional(options_.batched_wm);
   rhs_.set_pool(pool_.get());
   rhs_.set_parallel(options_.parallel_rhs);
   startup_context_.name = "startup";
@@ -275,19 +274,10 @@ Result<TimeTag> Engine::ModifyWme(
     }
     fields[static_cast<size_t>(field)] = value;
   }
-  // One transaction when batching: the matchers see the modify as a single
-  // delta-pair batch instead of a free-standing remove + add.
-  if (options_.batched_wm) wm_->Begin();
-  Result<WmePtr> wme = wm_->Replace(tag, std::move(fields));
-  if (options_.batched_wm) {
-    if (wme.ok()) {
-      SOREL_RETURN_IF_ERROR(wm_->Commit());
-    } else {
-      wm_->Rollback();
-    }
-  }
-  SOREL_RETURN_IF_ERROR(wme.status());
-  return (*wme)->time_tag();
+  // Replace stages the remove + add as one delta pair, so the matchers see
+  // the modify as a single batch (an implicit transaction outside one).
+  SOREL_ASSIGN_OR_RETURN(WmePtr wme, wm_->Replace(tag, std::move(fields)));
+  return wme->time_tag();
 }
 
 namespace {
@@ -393,7 +383,6 @@ Engine::MatchStats Engine::match_stats() const {
   stats.rete.tokens_deleted = get("rete.tokens_deleted");
   stats.rete.right_activations = get("rete.right_activations");
   stats.rete.batches = get("rete.batches");
-  stats.rete.grouped_removals = get("rete.grouped_removals");
   stats.rete.token_pool_hits = get("rete.token_pool_hits");
   stats.rete.parallel_batches = get("rete.parallel_batches");
   stats.rete.replay_tasks = get("rete.replay_tasks");
@@ -429,7 +418,6 @@ Engine::MatchStats Engine::match_stats() const {
   stats.plan.batches = get("plan.batches");
   stats.wm.adds = get("wm.adds");
   stats.wm.removes = get("wm.removes");
-  stats.wm.direct_events = get("wm.direct_events");
   stats.wm.batches = get("wm.batches");
   stats.wm.batched_changes = get("wm.batched_changes");
   stats.wm.rollbacks = get("wm.rollbacks");
@@ -632,7 +620,7 @@ Result<int> Engine::RunParallel(int max_cycles) {
     // their effects independent, and the matchers see the cycle's combined
     // effect as a single ChangeBatch at commit. An error aborts the whole
     // cycle (§8.1's transaction semantics).
-    if (options_.batched_wm) wm_->Begin();
+    wm_->Begin();
     for (Pending& pending : batch) {
       size_t num_rows = pending.rows.size();
       if (trace_.enabled()) {
@@ -653,7 +641,7 @@ Result<int> Engine::RunParallel(int max_cycles) {
         metrics_.GetOrCreateTimer("rule." + pending.rule->name)->Record(ns);
       }
       if (!result.ok()) {
-        if (options_.batched_wm) wm_->Rollback();
+        wm_->Rollback();
         return result.status();
       }
       ++run_stats_.firings;
@@ -662,7 +650,7 @@ Result<int> Engine::RunParallel(int max_cycles) {
       ++run_stats_.firings_by_rule[pending.rule->name];
       if (result->halted) halted_ = true;
     }
-    if (options_.batched_wm) SOREL_RETURN_IF_ERROR(wm_->Commit());
+    SOREL_RETURN_IF_ERROR(wm_->Commit());
     if (trace_.enabled()) {
       trace_.Emit(obs::TraceEvent("cycle_end")
                       .Num("cycle", static_cast<uint64_t>(cycles))

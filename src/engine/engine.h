@@ -61,14 +61,6 @@ struct EngineOptions {
   /// Serve conflict-set selection from the ordered index; off falls back
   /// to the linear scan (ablation baseline).
   bool indexed_conflict_set = true;
-  /// Run each firing (and each WM-mutating RHS action) inside a WM
-  /// transaction: the firing's changes reach the matchers as one
-  /// ChangeBatch at commit, each matcher propagates them natively (the
-  /// S-node evaluates `:test` once per touched SOI, TREAT coalesces
-  /// unblocking re-searches, DIPS refreshes once per rule), and an error
-  /// mid-action rolls the whole firing back (§8.1). Off restores the
-  /// seed's per-WME propagation — the ablation baseline.
-  bool batched_wm = true;
   /// Allocate WMEs from a per-WM slab pool (`std::allocate_shared` with a
   /// block-recycling allocator), so WME payloads and their shared_ptr
   /// control blocks sit in contiguous, recycled storage — removal-heavy
@@ -76,7 +68,7 @@ struct EngineOptions {
   /// (ablation baseline) falls back to make_shared.
   bool wme_arena = true;
   /// Worker threads for batch match propagation. 0 (the ablation baseline)
-  /// keeps the single-threaded path; N > 0 spawns a pool of N workers and
+  /// propagates on the calling thread; N > 0 spawns a pool of N workers and
   /// every matcher fans each ChangeBatch out per rule (Rete replays
   /// per-rule beta chains, TREAT re-searches per rule, DIPS refreshes per
   /// rule), buffering conflict-set sends into per-rule deltas that merge
@@ -130,7 +122,7 @@ class Engine {
     TreatMatcher::Stats treat;
     dips::DipsMatcher::Stats dips;
     PlanMatcher::Stats plan;
-    /// Propagation-boundary counters (direct events vs. batches).
+    /// Propagation-boundary counters (changes, batches, rollbacks).
     WorkingMemory::Stats wm;
     /// Worker-pool counters (zeros when match_threads == 0).
     ThreadPool::Stats pool;

@@ -171,7 +171,6 @@ struct RhsExecutor::ActionEval {
 };
 
 Status RhsExecutor::RunInTransaction(const std::function<Status()>& body) {
-  if (!transactional_) return body();
   wm_->Begin();
   Status s = body();
   if (s.ok()) return wm_->Commit();

@@ -27,13 +27,11 @@ class ThreadPool;
 /// the instantiation's own support (e.g. SwitchTeams' set-modify) are
 /// well-defined.
 ///
-/// In transactional mode (EngineOptions::batched_wm) each firing runs
-/// inside a WM transaction, with every WM-mutating action in a nested
-/// sub-transaction: an action that errors on its k-th member leaves no
-/// partial effect, the whole firing's changes reach the matchers as one
-/// ChangeBatch at commit, and an error rolls the entire firing back —
-/// §8.1's all-or-nothing transaction semantics. Non-transactional mode
-/// propagates each mutation immediately, as in OPS5.
+/// Each firing runs inside a WM transaction, with every WM-mutating action
+/// in a nested sub-transaction: an action that errors on its k-th member
+/// leaves no partial effect, the whole firing's changes reach the matchers
+/// as one ChangeBatch at commit, and an error rolls the entire firing back
+/// — §8.1's all-or-nothing transaction semantics.
 class RhsExecutor {
  public:
   struct FireResult {
@@ -75,9 +73,6 @@ class RhsExecutor {
                                        const std::vector<ActionPtr>& actions);
 
   void set_output(std::ostream* out) { out_ = out; }
-  /// Enables per-firing / per-action WM transactions (see class comment).
-  void set_transactional(bool on) { transactional_ = on; }
-  bool transactional() const { return transactional_; }
   /// Parallel RHS (EngineOptions::parallel_rhs): with a pool and the flag
   /// on, the per-member expression evaluations of a set-modify (and of a
   /// foreach whose body is only make/modify/remove) fork onto the pool;
@@ -110,8 +105,8 @@ class RhsExecutor {
 
   Status ExecuteList(const std::vector<ActionPtr>& actions, ExecState* state);
   Status Execute(const Action& action, ExecState* state);
-  /// Runs `body` inside a (possibly nested) WM transaction when
-  /// transactional mode is on; rolls back on error.
+  /// Runs `body` inside a (possibly nested) WM transaction; rolls back on
+  /// error.
   Status RunInTransaction(const std::function<Status()>& body);
   Status DoMake(const Action& action, ExecState* state);
   Status DoModifyOrRemove(const Action& action, ExecState* state);
@@ -147,7 +142,6 @@ class RhsExecutor {
   WorkingMemory* wm_;
   SymbolTable* symbols_;
   std::ostream* out_;
-  bool transactional_ = false;
   ThreadPool* pool_ = nullptr;  // borrowed; may be null
   bool parallel_ = false;
   obs::MetricRegistry* metrics_ = nullptr;  // borrowed; may be null

@@ -317,6 +317,8 @@ class Parser {
 
   // ---- actions ----
   Status ParseAction(std::vector<ActionPtr>* out) {
+    if (depth_ >= kMaxDepth) return Error(PeekTok(), "actions nested too deeply");
+    Nesting nesting(&depth_);
     SOREL_RETURN_IF_ERROR(Expect(TokKind::kLParen, "'(' starting action"));
     const Tok& head = PeekTok();
     if (head.kind != TokKind::kSymbol) {
@@ -457,9 +459,12 @@ class Parser {
         *out = Expr::Var(t.text, t.loc);
         Advance();
         return Status::Ok();
-      case TokKind::kLParen:
+      case TokKind::kLParen: {
+        if (depth_ >= kMaxDepth) return Error(t, "expression nested too deeply");
+        Nesting nesting(&depth_);
         Advance();
         return ParseParenExpr(t.loc, out);
+      }
       default:
         return Error(t, "expected expression");
     }
@@ -545,8 +550,26 @@ class Parser {
     return Status::Ok();
   }
 
+  // Nesting depth of parenthesised expressions and action bodies. Recursive
+  // descent runs on the C++ stack, so hostile input (a 200k-deep
+  // parenthesised expression, say) must fail with a ParseError rather than
+  // overflow it; the passes that later recurse over the tree (compiler,
+  // evaluator, printer) inherit the bound.
+  static constexpr int kMaxDepth = 256;
+  class Nesting {
+   public:
+    explicit Nesting(int* depth) : depth_(depth) { ++*depth_; }
+    ~Nesting() { --*depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    int* depth_;
+  };
+
   std::vector<Tok> toks_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

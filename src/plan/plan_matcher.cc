@@ -652,24 +652,6 @@ void PlanMatcher::ReplayRule(
   }
 }
 
-void PlanMatcher::OnAdd(const WmePtr& wme) {
-  obs::ScopedTimer timer(match_timer_);
-  std::vector<AlphaGroup*> schedule;
-  ScheduleFor(*wme, &schedule);
-  ApplyAdd(wme, schedule);
-  MaybeReoptimize();
-  MaybeCompact();
-}
-
-void PlanMatcher::OnRemove(const WmePtr& wme) {
-  obs::ScopedTimer timer(match_timer_);
-  std::vector<AlphaGroup*> schedule;
-  ScheduleFor(*wme, &schedule);
-  ApplyRemove(wme, schedule);
-  MaybeReoptimize();
-  MaybeCompact();
-}
-
 void PlanMatcher::OnBatch(const ChangeBatch& batch) {
   obs::ScopedTimer timer(match_timer_);
   ++stats_.batches;
@@ -706,7 +688,7 @@ void PlanMatcher::OnBatch(const ChangeBatch& batch) {
       stats_.seeded_searches += s.seeded_searches;
       stats_.full_searches += s.full_searches;
     }
-    cs_->ApplyDeltas(&deltas);
+    cs_->ApplyDeltas(deltas);
   } else {
     for (const WmChange& c : batch.changes) {
       const auto& schedule =

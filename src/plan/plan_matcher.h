@@ -87,8 +87,6 @@ class PlanMatcher : public Matcher {
   Status RemoveRule(const CompiledRule* rule) override;
   ConflictSet& conflict_set() override { return *cs_; }
 
-  void OnAdd(const WmePtr& wme) override;
-  void OnRemove(const WmePtr& wme) override;
   void OnBatch(const ChangeBatch& batch) override;
 
   size_t num_instantiations() const;

@@ -153,18 +153,11 @@ void ConflictSet::Release(std::unique_ptr<InstantiationRef> dead) {
   // Destroyed here: no deferred op can still reference it.
 }
 
-void ConflictSet::ApplyDeltas(std::vector<Delta>* deltas) {
-  struct Flat {
-    Delta::Op* op;
-    uint32_t delta_pos;
-    uint32_t seq;
-  };
-  std::vector<Flat> flat;
-  size_t total = 0;
-  for (const Delta& d : *deltas) total += d.ops_.size();
-  flat.reserve(total);
-  for (size_t di = 0; di < deltas->size(); ++di) {
-    auto& ops = (*deltas)[di].ops_;
+void ConflictSet::ApplyDeltas(std::span<Delta> deltas) {
+  std::vector<MergeOp>& flat = merge_scratch_;
+  flat.clear();
+  for (size_t di = 0; di < deltas.size(); ++di) {
+    auto& ops = deltas[di].ops_;
     for (size_t oi = 0; oi < ops.size(); ++oi) {
       flat.push_back({&ops[oi], static_cast<uint32_t>(di),
                       static_cast<uint32_t>(oi)});
@@ -173,20 +166,21 @@ void ConflictSet::ApplyDeltas(std::vector<Delta>* deltas) {
   // (stamp, delta position, buffering order) is a strict total order, so
   // plain sort is deterministic. The result is exactly the op sequence the
   // sequential propagation would have issued.
-  std::sort(flat.begin(), flat.end(), [](const Flat& a, const Flat& b) {
+  std::sort(flat.begin(), flat.end(), [](const MergeOp& a, const MergeOp& b) {
     if (a.op->stamp < b.op->stamp) return true;
     if (b.op->stamp < a.op->stamp) return false;
     if (a.delta_pos != b.delta_pos) return a.delta_pos < b.delta_pos;
     return a.seq < b.seq;
   });
-  for (const Flat& f : flat) {
+  for (const MergeOp& f : flat) {
     if (f.op->add) {
       AddWithKeys(f.op->inst, std::move(f.op->keys));
     } else {
       RemoveNow(f.op->inst);
     }
   }
-  for (Delta& d : *deltas) {
+  flat.clear();
+  for (Delta& d : deltas) {
     d.ops_.clear();
     d.graveyard_.clear();  // dead instantiations are safe to free now
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -146,7 +147,7 @@ class ConflictSet {
   /// order — (stamp, delta position, buffering order) — then destroys the
   /// graveyards. Delta position must be rule-registration order for the
   /// merge to reproduce the sequential op stream.
-  void ApplyDeltas(std::vector<Delta>* deltas);
+  void ApplyDeltas(std::span<Delta> deltas);
 
   /// Destroys a dead instantiation — immediately, or (when this thread is
   /// currently buffering into a delta) after that delta is applied.
@@ -260,6 +261,14 @@ class ConflictSet {
   mutable Stats stats_;
   Index lex_;
   Index mea_;
+  /// ApplyDeltas' flattened merge order (a member so that per-batch merges
+  /// reuse its capacity).
+  struct MergeOp {
+    Delta::Op* op;
+    uint32_t delta_pos;
+    uint32_t seq;
+  };
+  std::vector<MergeOp> merge_scratch_;
 };
 
 }  // namespace sorel

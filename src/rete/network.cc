@@ -681,8 +681,6 @@ ReteMatcher::ReteMatcher(WorkingMemory* wm, ConflictSet* cs,
                        [this] { return stats_.right_activations; });
     m->RegisterCounter(this, "rete.batches",
                        [this] { return stats_.batches; });
-    m->RegisterCounter(this, "rete.grouped_removals",
-                       [this] { return stats_.grouped_removals; });
     m->RegisterCounter(this, "rete.token_pool_hits",
                        [this] { return stats_.token_pool_hits; });
     m->RegisterCounter(this, "rete.parallel_batches",
@@ -753,7 +751,7 @@ Token* ReteMatcher::NewToken(BetaNode* owner, Token* parent, WmePtr wme) {
   owner->outputs_.push_back(t->self);
   owner->OnTokenRegistered(t);
   ReplayCtx* ctx = CurrentReplayCtx();
-  t->born_of_removal = (ctx != nullptr) ? ctx->removing_tag : removing_tag_;
+  t->born_of_removal = (ctx != nullptr) ? ctx->removing_tag : 0;
   if (ctx != nullptr) {
     ++ctx->live_token_delta;
   } else {
@@ -801,7 +799,7 @@ void ReteMatcher::DeleteTokenTree(Token* t) {
                    tokens.end());
       // Eager entry erasure: an anchor entry exists iff it holds tokens,
       // so removal drivers re-find instead of holding iterators across a
-      // cascade (see FinishRemove).
+      // cascade (see ReplayShard).
       if (tokens.empty()) shard->tokens_by_wme.erase(it);
     }
   }
@@ -848,14 +846,10 @@ void ReteMatcher::BulkDeleteTree(Token* t, DeletionScratch* s) {
     }
   }
   s->dead.push_back(t);
+  // Bulk deletion runs only inside a batch replay.
   ReplayCtx* ctx = CurrentReplayCtx();
-  if (ctx != nullptr) {
-    --ctx->live_token_delta;
-    ++ctx->stats.tokens_deleted;
-  } else {
-    --live_tokens_;
-    ++stats_.tokens_deleted;
-  }
+  --ctx->live_token_delta;
+  ++ctx->stats.tokens_deleted;
 }
 
 void ReteMatcher::BulkDeleteAnchored(RuleShard* shard, TimeTag tag,
@@ -1071,11 +1065,15 @@ Status ReteMatcher::AddRule(const CompiledRule* rule) {
   sinks_.push_back(std::move(sink));
 
   // Populate from existing WM: right-activating the first node cascades
-  // left-activations through the whole (already wired) chain.
+  // left-activations through the whole (already wired) chain. Bracketed
+  // like a batch, so the sink sees its tokens the one way it ever does.
   BetaNode* first = chain.front();
   std::vector<WmePtr> seed;
   first->amem()->SnapshotItems(&seed);
+  ReteSink* rule_sink = sinks_.back().get();
+  rule_sink->OnBatchBegin();
   for (const WmePtr& w : seed) first->RightActivate(w, /*added=*/true);
+  rule_sink->OnBatchEnd();
   return Status::Ok();
 }
 
@@ -1090,9 +1088,11 @@ Status ReteMatcher::RemoveRule(const CompiledRule* rule) {
   //    first-node output, so deleting those roots cascades through the
   //    whole chain (and notifies the sink for retracted instantiations).
   BetaNode* first = shard->chain.front();
+  shard->sink->OnBatchBegin();
   while (!first->outputs_.empty()) {
     DeleteTokenTree(shard->arena.At(first->outputs_.back()));
   }
+  shard->sink->OnBatchEnd();
   // 2. Unhook from the shared alpha memories.
   for (BetaNode* node : shard->chain) {
     auto& succs = node->amem_->successors_;
@@ -1115,208 +1115,42 @@ Status ReteMatcher::RemoveRule(const CompiledRule* rule) {
   return Status::Ok();
 }
 
-void ReteMatcher::ApplyAdd(const WmePtr& wme) {
-  auto it = alphas_by_class_.find(wme->cls());
-  if (it == alphas_by_class_.end()) return;
-  for (const auto& am : it->second) {
-    if (!am->Accepts(*wme)) continue;
-    am->AddItem(wme);
-    wme_amems_[wme->time_tag()].push_back(am.get());
-    // Immediate per-memory activation, successors newest-first: this is the
-    // ordering that makes one WME matching several CEs of a rule produce
-    // each combined token exactly once.
-    for (size_t i = 0; i < am->successors_.size(); ++i) {
-      ++stats_.right_activations;
-      am->successors_[i]->RightActivate(wme, /*added=*/true);
-    }
-  }
-}
-
-void ReteMatcher::ApplyRemove(const WmePtr& wme) {
-  auto it = wme_amems_.find(wme->time_tag());
-  if (it == wme_amems_.end()) return;
-  // 1. Remove from alpha memories so joins no longer see it. wme_amems_ is
-  // the single source of truth for which memories hold the WME, so each
-  // exit must find its item (exactly-once-per-batch discipline; the
-  // grouped and per-WME paths never overlap on a WME).
-  for (AlphaMemory* am : it->second) {
-    bool removed = am->RemoveItem(wme);
-    assert(removed && "WME missing from an alpha memory it was filed under");
-    (void)removed;
-  }
-  // 2. Unblock negative nodes (may propagate new tokens — those are
-  // stamped with this removal's tag so its remaining right-activations
-  // skip them; see Token::born_of_removal).
-  removing_tag_ = wme->time_tag();
-  for (AlphaMemory* am : it->second) {
-    for (size_t i = 0; i < am->successors_.size(); ++i) {
-      ++stats_.right_activations;
-      am->successors_[i]->RightActivate(wme, /*added=*/false);
-    }
-  }
-  // 3. Tree-delete every token anchored on this WME.
-  FinishRemove(wme);
-  removing_tag_ = 0;
-  wme_amems_.erase(wme->time_tag());
-}
-
-void ReteMatcher::OnAdd(const WmePtr& wme) {
-  obs::ScopedTimer timer(match_timer_);
-  ApplyAdd(wme);
-}
-
-void ReteMatcher::OnRemove(const WmePtr& wme) {
-  obs::ScopedTimer timer(match_timer_);
-  ApplyRemove(wme);
-}
-
-void ReteMatcher::ApplyRemoveRun(const std::vector<WmChange>& changes,
-                                 size_t begin, size_t end) {
-  if (end - begin == 1) {
-    ApplyRemove(changes[begin].wme);
-    return;
-  }
-  // A grouped run pulls every WME out of its alpha memories before any
-  // token deletion, so joins re-seeded later in the batch never see a
-  // half-removed set. Safe only when no touched alpha feeds a negative
-  // node: negative successors react to removals (blocker counts) and the
-  // per-WME interleaving of unblocking vs. token deletion is observable
-  // in the sink's Touch sequence.
-  for (size_t i = begin; i < end; ++i) {
-    auto it = wme_amems_.find(changes[i].wme->time_tag());
-    if (it == wme_amems_.end()) continue;
-    for (AlphaMemory* am : it->second) {
-      for (BetaNode* succ : am->successors_) {
-        if (succ->cond().negated) {
-          // The scan mutates nothing, so the fallback is a clean per-WME
-          // replay of the whole run.
-          for (size_t j = begin; j < end; ++j) ApplyRemove(changes[j].wme);
-          return;
-        }
-      }
-    }
-  }
-  // Phase 1: all alpha exits, grouped per memory — one compaction pass per
-  // touched memory for the whole run instead of one scan per (WME, memory)
-  // pair.
-  AlphaExitBatch exits;
-  for (size_t i = begin; i < end; ++i) {
-    const WmePtr& wme = changes[i].wme;
-    auto it = wme_amems_.find(wme->time_tag());
-    if (it == wme_amems_.end()) continue;
-    for (AlphaMemory* am : it->second) exits.Add(am, wme);
-  }
-  exits.Commit();
-  // Phase 2: per-WME token-tree deletion, batch order. (No negative
-  // successors anywhere in the run, and JoinNode::RightActivate ignores
-  // removals, so the skipped right-activations are provably no-ops.)
-  if (options_.bulk_removal) {
-    // Defer the container compaction across the whole run: nothing between
-    // these deletions scans an output memory (no right-activations happen
-    // in this phase, and the tree walks themselves skip dead tokens), so
-    // one flush at the end suffices.
-    for (size_t i = begin; i < end; ++i) {
-      TimeTag tag = changes[i].wme->time_tag();
-      for (RuleShard* shard : shards_) BulkDeleteAnchored(shard, tag, &scratch_);
-      wme_amems_.erase(tag);
-    }
-    FlushDeletions(&scratch_);
-  } else {
-    for (size_t i = begin; i < end; ++i) {
-      FinishRemove(changes[i].wme);
-      wme_amems_.erase(changes[i].wme->time_tag());
-    }
-  }
-  ++stats_.grouped_removals;
-}
-
 void ReteMatcher::AlphaExitBatch::Add(AlphaMemory* am, const WmePtr& wme) {
-  auto [it, fresh] = exits_.try_emplace(am);
-  if (fresh) order_.push_back(am);
-  it->second.push_back(wme);
+  if (am->exiting_.empty()) order_.push_back(am);
+  am->exiting_.push_back(wme);
 }
 
 void ReteMatcher::AlphaExitBatch::Commit() {
   for (AlphaMemory* am : order_) {
-    const std::vector<WmePtr>& wmes = exits_[am];
-    size_t removed = am->RemoveItems(wmes);
-    assert(removed == wmes.size() &&
+    size_t removed = am->RemoveItems(am->exiting_);
+    assert(removed == am->exiting_.size() &&
            "a WME must leave each alpha memory exactly once per batch");
     (void)removed;
+    am->exiting_.clear();
   }
-  exits_.clear();
   order_.clear();
-}
-
-void ReteMatcher::FinishRemove(const WmePtr& wme) {
-  TimeTag tag = wme->time_tag();
-  // Shard by shard in registration order — the same order the parallel
-  // merge applies per-rule deletion ops in.
-  if (options_.bulk_removal) {
-    for (RuleShard* shard : shards_) BulkDeleteAnchored(shard, tag, &scratch_);
-    // Flush before returning: on the per-WME path (negative successors
-    // present) the next WME's unblock cascade scans output memories.
-    FlushDeletions(&scratch_);
-    return;
-  }
-  // Per-token path: deletions edit the anchored list in place (a token in
-  // the list can delete a descendant that is also in the list) and erase
-  // the entry when it drains, so re-find instead of holding an iterator.
-  for (RuleShard* shard : shards_) {
-    while (true) {
-      auto it = shard->tokens_by_wme.find(tag);
-      if (it == shard->tokens_by_wme.end()) break;
-      DeleteTokenTree(shard->arena.At(it->second.tokens.back()));
-    }
-  }
 }
 
 void ReteMatcher::OnBatch(const ChangeBatch& batch) {
   obs::ScopedTimer timer(match_timer_);
-  if (options_.pool != nullptr) {
-    OnBatchParallel(batch);
-    return;
-  }
-  OnBatchSequential(batch);
-}
-
-void ReteMatcher::OnBatchSequential(const ChangeBatch& batch) {
   ++stats_.batches;
-  for (const auto& s : sinks_) s->OnBatchBegin();
-  const std::vector<WmChange>& changes = batch.changes;
-  size_t i = 0;
-  while (i < changes.size()) {
-    if (changes[i].added) {
-      ApplyAdd(changes[i].wme);
-      ++i;
-      continue;
-    }
-    size_t j = i;
-    while (j < changes.size() && !changes[j].added) ++j;
-    ApplyRemoveRun(changes, i, j);
-    i = j;
-  }
-  for (const auto& s : sinks_) s->OnBatchEnd();
-#ifndef NDEBUG
-  CheckAnchorInvariants();
-#endif
-}
-
-void ReteMatcher::OnBatchParallel(const ChangeBatch& batch) {
-  ++stats_.batches;
-  ++stats_.parallel_batches;
-  for (const auto& s : sinks_) s->OnBatchBegin();
+  if (options_.pool != nullptr) ++stats_.parallel_batches;
+  ++batch_seq_;
   const std::vector<WmChange>& changes = batch.changes;
 
-  // --- Phase A (coordinator): alpha entries + the replay plan. ---
+  // --- Phase A: alpha entries + the replay plan. ---
   //
-  // Adds go into their alpha memories right away (all replay tasks read the
+  // Adds go into their alpha memories right away (all replays read the
   // same physical memories); removals are only *marked* — they leave in
-  // phase C, after every task is done reading. ReplayVisibleTag gives each
-  // task the exact per-change view the sequential interleaving had.
-  replay_removed_.clear();
-  std::vector<ChangeRec> plan;
-  plan.reserve(changes.size());
+  // phase C, after every replay is done reading. ReplayVisibleTag gives
+  // each replay the exact per-change view.
+  if (plan_.size() < changes.size()) plan_.resize(changes.size());
+  targets_.clear();
+  auto schedule = [this](RuleShard* shard) {
+    if (shard->replay_batch == batch_seq_) return;
+    shard->replay_batch = batch_seq_;
+    targets_.push_back(shard);
+  };
   // Staged adds carry strictly increasing time tags, all larger than any
   // pre-batch WME's, so "visible as of change e" is just a tag ceiling.
   TimeTag ceiling = std::numeric_limits<TimeTag>::max();
@@ -1326,10 +1160,10 @@ void ReteMatcher::OnBatchParallel(const ChangeBatch& batch) {
       break;
     }
   }
-  std::vector<char> touched(shards_.size(), 0);
   for (size_t e = 0; e < changes.size(); ++e) {
     const WmChange& c = changes[e];
-    ChangeRec rec;
+    ChangeRec& rec = plan_[e];
+    rec.amems.clear();
     rec.prev_ceiling = ceiling;
     if (c.added) {
       auto it = alphas_by_class_.find(c.wme->cls());
@@ -1346,66 +1180,69 @@ void ReteMatcher::OnBatchParallel(const ChangeBatch& batch) {
       auto it = wme_amems_.find(c.wme->time_tag());
       if (it != wme_amems_.end()) rec.amems = it->second;
       replay_removed_.emplace(c.wme->time_tag(), e);
-      for (RuleShard* shard : shards_) {
-        if (shard->tokens_by_wme.count(c.wme->time_tag()) != 0) {
-          touched[shard->ordinal] = 1;
-        }
-      }
+      // Queued now, applied in phase C; the queue also tells
+      // ReplayVisibleTag which memories hold a removed WME at all.
+      for (AlphaMemory* am : rec.amems) exits_.Add(am, c.wme);
     }
     rec.ceiling = ceiling;
+    // Every token anchored on a removed WME was made by a join node of a
+    // memory holding it, so this walk schedules those rules too.
     for (AlphaMemory* am : rec.amems) {
-      for (BetaNode* succ : am->successors_) {
-        touched[succ->shard_->ordinal] = 1;
-      }
+      for (BetaNode* succ : am->successors_) schedule(succ->shard_);
     }
-    plan.push_back(std::move(rec));
   }
+  std::sort(targets_.begin(), targets_.end(),
+            [](const RuleShard* a, const RuleShard* b) {
+              return a->ordinal < b->ordinal;
+            });
 
-  // --- Phase B: one replay task per touched rule shard. ---
-  std::vector<RuleShard*> targets;
-  for (RuleShard* s : shards_) {
-    if (touched[s->ordinal] != 0) targets.push_back(s);
-  }
+  // --- Phase B: one replay per touched rule shard. ---
+  const size_t n = targets_.size();
+  for (RuleShard* s : targets_) s->sink->OnBatchBegin();
   if (options_.tracer != nullptr && options_.tracer->enabled()) {
-    for (RuleShard* s : targets) {
+    for (RuleShard* s : targets_) {
       options_.tracer->Emit(obs::TraceEvent("rule_replay")
                                 .Str("rule", s->rule->name)
                                 .Num("changes", changes.size()));
     }
   }
-  if (!targets.empty()) {
-    std::vector<ConflictSet::Delta> deltas(targets.size());
-    std::vector<ReplayCtx> ctxs(targets.size());
-    stats_.replay_tasks += targets.size();
-    if (targets.size() == 1) {
-      // One touched rule: replay inline, dispatch would only add latency.
-      ReplayShard(targets[0], changes, plan, &deltas[0], &ctxs[0]);
+  if (ctxs_.size() < n) ctxs_.resize(n);
+  stats_.replay_tasks += n;
+  if (n == 1) {
+    // One touched rule: its sends come in merge order already, so they
+    // apply directly, and a pool dispatch would only add latency.
+    ReplayShard(targets_[0], changes, nullptr, &ctxs_[0]);
+  } else if (n > 1) {
+    if (deltas_.size() < n) deltas_.resize(n);
+    if (options_.pool == nullptr) {
+      for (size_t i = 0; i < n; ++i) {
+        ReplayShard(targets_[i], changes, &deltas_[i], &ctxs_[i]);
+      }
     } else {
       std::vector<std::function<void()>> tasks;
-      tasks.reserve(targets.size());
-      for (size_t i = 0; i < targets.size(); ++i) {
-        tasks.push_back([this, &changes, &plan, &deltas, &ctxs, &targets, i] {
-          ReplayShard(targets[i], changes, plan, &deltas[i], &ctxs[i]);
+      tasks.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        tasks.push_back([this, &changes, i] {
+          ReplayShard(targets_[i], changes, &deltas_[i], &ctxs_[i]);
         });
       }
       options_.pool->RunAll(std::move(tasks));
     }
-    // --- Phase C: deterministic merge, registration order. ---
-    for (ReplayCtx& ctx : ctxs) MergeCtx(&ctx);
-    cs_->ApplyDeltas(&deltas);
   }
+
+  // --- Phase C: deterministic merge, registration order. ---
+  for (size_t i = 0; i < n; ++i) MergeCtx(&ctxs_[i]);
+  if (n > 1) cs_->ApplyDeltas(std::span(deltas_.data(), n));
   // Physical alpha exits for the batch's removals (the marks kept them in
   // place during phase B), grouped per memory so each is compacted once.
-  AlphaExitBatch exits;
-  for (size_t e = 0; e < changes.size(); ++e) {
-    if (changes[e].added) continue;
-    const WmePtr& wme = changes[e].wme;
-    for (AlphaMemory* am : plan[e].amems) exits.Add(am, wme);
-    wme_amems_.erase(wme->time_tag());
+  if (!replay_removed_.empty()) {
+    for (const WmChange& c : changes) {
+      if (!c.added) wme_amems_.erase(c.wme->time_tag());
+    }
+    exits_.Commit();
+    replay_removed_.clear();
   }
-  exits.Commit();
-  replay_removed_.clear();
-  for (const auto& s : sinks_) s->OnBatchEnd();
+  for (RuleShard* s : targets_) s->sink->OnBatchEnd();
 #ifndef NDEBUG
   CheckAnchorInvariants();
 #endif
@@ -1413,10 +1250,11 @@ void ReteMatcher::OnBatchParallel(const ChangeBatch& batch) {
 
 void ReteMatcher::ReplayShard(RuleShard* shard,
                               const std::vector<WmChange>& changes,
-                              const std::vector<ChangeRec>& plan,
                               ConflictSet::Delta* delta, ReplayCtx* ctx) {
   ctx->net = this;
   ctx->shard = shard;
+  ctx->stats = {};
+  ctx->live_token_delta = 0;
   // Save/restore rather than set/null: while this task waits on a slice
   // fork it help-drains the pool queue, and can run *another* replay task
   // (this matcher's or another matcher's) whose exit must put back this
@@ -1428,12 +1266,12 @@ void ReteMatcher::ReplayShard(RuleShard* shard,
   // changes — but only while no scan can observe a dead token: an add's
   // right-activations probe output memories, and a negative node's unblock
   // cascade does too, so those flush first. Shards with a negative node
-  // flush per change (the per-WME interleaving FinishRemove preserves).
-  DeletionScratch scratch;
+  // flush per removal.
+  DeletionScratch& scratch = ctx->scratch;
   const bool defer = options_.bulk_removal && !shard->has_negative;
   for (size_t e = 0; e < changes.size(); ++e) {
     const WmChange& c = changes[e];
-    const ChangeRec& rec = plan[e];
+    const ChangeRec& rec = plan_[e];
     if (c.added && !scratch.empty()) FlushDeletions(&scratch);
     ctx->epoch = e;
     ctx->prev_ceiling = rec.prev_ceiling;
@@ -1445,22 +1283,26 @@ void ReteMatcher::ReplayShard(RuleShard* shard,
       const std::vector<BetaNode*>* nodes = shard->SuccessorsOf(rec.amems[a]);
       if (nodes == nullptr) continue;
       for (BetaNode* node : *nodes) {
-        delta->SetStamp({static_cast<uint32_t>(e), 0, static_cast<uint32_t>(a),
-                         static_cast<uint32_t>(node->succ_ordinal_)});
+        if (delta != nullptr) {
+          delta->SetStamp({static_cast<uint32_t>(e), 0,
+                           static_cast<uint32_t>(a),
+                           static_cast<uint32_t>(node->succ_ordinal_)});
+        }
         ++ctx->stats.right_activations;
         node->RightActivate(c.wme, c.added);
       }
     }
     if (!c.added) {
-      // Token-tree deletion for this removal, after its unblock cascade —
-      // the same per-change interleaving as the sequential ApplyRemove.
-      delta->SetStamp({static_cast<uint32_t>(e), 1, 0, 0});
+      // Token-tree deletion for this removal, after its unblock cascade.
+      if (delta != nullptr) {
+        delta->SetStamp({static_cast<uint32_t>(e), 1, 0, 0});
+      }
       if (options_.bulk_removal) {
         BulkDeleteAnchored(shard, c.wme->time_tag(), &scratch);
         if (!defer) FlushDeletions(&scratch);
       } else {
         // Per-token path; entries erase themselves when drained, so
-        // re-find instead of holding an iterator (see FinishRemove).
+        // re-find instead of holding an iterator.
         TimeTag tag = c.wme->time_tag();
         while (true) {
           auto it = shard->tokens_by_wme.find(tag);

@@ -35,10 +35,11 @@ struct ReteOptions {
   /// bench_workload_seating.
   bool use_indexed_joins = true;
   /// Worker pool for parallel ChangeBatch propagation (borrowed, may be
-  /// null). With a pool, OnBatch runs the shared alpha phase sequentially
-  /// and fans the per-rule beta replays out as pool tasks; conflict-set
-  /// sends are buffered per rule and merged deterministically, so the
-  /// observable behavior stays bit-identical to the sequential path.
+  /// null). With a pool, OnBatch fans the per-rule beta replays out as pool
+  /// tasks instead of running them one after another on the calling
+  /// thread; conflict-set sends are buffered per rule and merged
+  /// deterministically either way, so the observable behavior is the same
+  /// with and without a pool.
   ThreadPool* pool = nullptr;
   /// Intra-rule parallelism threshold (0 disables). When a single join
   /// scan — a right-activation probing one node's candidate tokens, a
@@ -98,25 +99,21 @@ struct ReteStats {
   /// Right-activation calls into beta nodes (one per alpha successor per
   /// propagated change — the per-change propagation cost).
   uint64_t right_activations = 0;
-  /// ChangeBatch deliveries handled natively (batched_wm on).
+  /// ChangeBatch deliveries.
   uint64_t batches = 0;
-  /// Removal runs whose alpha exits were grouped (no negative successors;
-  /// sequential path only — the parallel replay subsumes the grouping).
-  uint64_t grouped_removals = 0;
   /// NewToken requests served from the token free list instead of the heap.
   uint64_t token_pool_hits = 0;
-  /// Batches propagated through the worker pool.
+  /// Batches propagated with a worker pool configured.
   uint64_t parallel_batches = 0;
-  /// Per-rule replay tasks dispatched across those batches.
+  /// Per-rule replays run across all batches (one per touched rule).
   uint64_t replay_tasks = 0;
   /// Join scans whose candidate set met ReteOptions::intra_split_min and
   /// were evaluated as parallel slices (intra-rule parallelism).
   uint64_t intra_splits = 0;
   /// Slice tasks dispatched across those splits.
   uint64_t intra_slice_tasks = 0;
-  /// Deferred-compaction flushes on the bulk removal path (one per removal
-  /// run / per-WME removal / shard-replay flush point; 0 with
-  /// ReteOptions::bulk_removal off).
+  /// Deferred-compaction flushes on the bulk removal path (one per
+  /// shard-replay flush point; 0 with ReteOptions::bulk_removal off).
   uint64_t bulk_deletes = 0;
   /// Fresh token slabs allocated across the per-shard arenas.
   uint64_t arena_slabs = 0;
@@ -129,10 +126,12 @@ class ReteSink {
   virtual ~ReteSink() = default;
   /// `added` follows the sign of the token (+/- in the paper's Figure 3).
   virtual void OnToken(Token* token, bool added) = 0;
-  /// Bracket a ChangeBatch: between Begin and End the sink may defer its
-  /// conflict-set decisions (the S-node defers γ-memory sends and `:test`
-  /// evaluation to End — one re-eval per touched SOI instead of one per
-  /// member token). Defaults are no-ops (P-nodes stay eager).
+  /// Bracket every token delivery: a rule's tokens arrive only between
+  /// OnBatchBegin and OnBatchEnd (per ChangeBatch that touches the rule,
+  /// and around AddRule's population and RemoveRule's teardown). The
+  /// S-node keeps only its γ-memory current per token and makes its
+  /// conflict-set decisions in End — one `:test` evaluation per touched
+  /// SOI. Defaults are no-ops (P-nodes stay eager).
   virtual void OnBatchBegin() {}
   virtual void OnBatchEnd() {}
 };
@@ -163,12 +162,16 @@ struct RuleShard {
   std::unordered_map<TimeTag, AnchorList> tokens_by_wme;
   /// Slab storage and free list for every token of this rule's chain.
   /// Shard-owned so replay tasks recycle without locks and in the same
-  /// order as the sequential path.
+  /// order with or without a worker pool.
   TokenArena arena;
   /// Whether the chain contains a negative node (set by AddRule); removal
-  /// replays must flush deletions per WME in that case to preserve the
-  /// per-WME unblocking interleaving.
+  /// replays must flush deletions per removal in that case, so unblocking
+  /// cascades never scan dead tokens.
   bool has_negative = false;
+  /// The last batch (ReteMatcher::batch_seq_) that scheduled this shard
+  /// for a replay — de-duplicates phase A's target list without a
+  /// per-batch rule-sized scratch array.
+  uint64_t replay_batch = 0;
   /// This rule's beta nodes grouped by alpha memory, each group in
   /// successor (newest-first) order — the replay's right-activation
   /// schedule. Relative order within one rule never changes (other rules
@@ -323,6 +326,10 @@ class AlphaMemory {
   std::vector<WmePtr> items_;  // AoS layout
   AlphaColumns cols_;          // SoA layout
   std::vector<uint32_t> remap_scratch_;
+  /// WMEs removed by the in-flight batch, awaiting their grouped exit at
+  /// the batch's end (ReteMatcher::AlphaExitBatch); empty outside a batch
+  /// and in memories the batch removes nothing from.
+  std::vector<WmePtr> exiting_;
   std::vector<std::unique_ptr<Index>> indexes_;
   /// Right-activation targets, newest-first (Doorenbos's ordering, which
   /// avoids duplicate tokens when one WME feeds several CEs of a rule).
@@ -492,18 +499,20 @@ using SinkFactory =
 /// The extended Rete network of §5: shared alpha memories, per-rule join
 /// chains, negative nodes, and pluggable terminals.
 ///
-/// Threading model (ReteOptions::pool set): OnBatch splits into three
-/// phases. Phase A (coordinator) walks the batch once, inserting every add
-/// into its alpha memories and recording a per-change replay plan; removed
-/// WMEs stay physically present but are marked in `replay_removed_`. Phase
-/// B fans one task per touched rule shard out to the pool; each task
-/// replays the change sequence against its own beta chain, with all alpha
-/// reads filtered through `ReplayVisibleTag` so every scan sees exactly the
-/// memory contents the sequential interleaving would have seen at that
-/// change. Conflict-set sends are buffered per shard with deterministic
-/// stamps. Phase C (coordinator) merges stats, applies the conflict-set
-/// deltas in the sequential order, performs the physical alpha exits, and
-/// runs the sinks' batch-end flushes — bit-identical to `pool == nullptr`.
+/// Propagation (the one path every WM change takes — OnBatch): phase A
+/// walks the batch once, inserting every add into its alpha memories and
+/// recording a per-change replay plan; removed WMEs stay physically present
+/// but are marked in `replay_removed_`. Phase B replays the change sequence
+/// once per touched rule shard against that shard's beta chain (rule-major
+/// order), with all alpha reads filtered through `ReplayVisibleTag` so every
+/// scan sees exactly the memory contents a change-by-change walk would have
+/// seen at that change. With more than one touched shard, conflict-set
+/// sends are buffered per shard with deterministic stamps. Phase C merges
+/// stats, applies the conflict-set deltas in change-major order, performs
+/// the physical alpha exits, and runs the touched sinks' batch-end
+/// flushes. The replays run inline without a pool and as pool tasks with
+/// one (ReteOptions::pool) — the same algorithm, so traces, conflict sets
+/// and counters other than the pool's agree across thread counts.
 class ReteMatcher : public Matcher {
  public:
   /// `sink_factory` may be null, in which case every rule gets a plain
@@ -519,15 +528,8 @@ class ReteMatcher : public Matcher {
   Status RemoveRule(const CompiledRule* rule) override;
   ConflictSet& conflict_set() override { return *cs_; }
 
-  void OnAdd(const WmePtr& wme) override;
-  void OnRemove(const WmePtr& wme) override;
-  /// Native batched propagation: brackets every sink with
-  /// OnBatchBegin/OnBatchEnd, replays the changes in staging order (the
-  /// ordering per-WME listeners would see), and groups consecutive removals'
-  /// alpha-memory exits when no negative node is watching (a negative
-  /// successor needs the per-WME unblocking order to stay bit-identical).
-  /// With a worker pool configured, the per-rule replays run concurrently
-  /// (see the class comment).
+  /// Propagates a batch in three phases (see the class comment), bracketing
+  /// each touched rule's sink with OnBatchBegin/OnBatchEnd.
   void OnBatch(const ChangeBatch& batch) override;
 
   // --- token management (used by beta nodes) ---
@@ -553,6 +555,23 @@ class ReteMatcher : public Matcher {
   friend class JoinNode;
   friend class NegativeNode;
 
+  /// One in-progress bulk deletion (ReteOptions::bulk_removal): the dead
+  /// tokens awaiting recycle plus every container that needs exactly one
+  /// stable compaction pass. Each replay keeps its own in its ReplayCtx
+  /// (it only ever names per-shard state, so no synchronization).
+  struct DeletionScratch {
+    std::vector<Token*> dead;
+    /// Nodes whose outputs_ hold dead entries (compact_pending_ set).
+    std::vector<BetaNode*> dirty_nodes;
+    /// Live parents whose children vector holds dead entries, paired with
+    /// the arena those child ids resolve against (the dead children's
+    /// shard; the parent itself may be the arena-less shard root).
+    std::vector<std::pair<TokenArena*, Token*>> dirty_parents;
+    /// tokens_by_wme entries holding dead entries (AnchorList::dirty set).
+    std::vector<std::pair<RuleShard*, TimeTag>> dirty_anchors;
+    bool empty() const { return dead.empty(); }
+  };
+
   /// Per-task replay state, installed in `tls_replay_` while a shard task
   /// runs. Everything a worker would otherwise write to shared matcher
   /// state (counters, live-token accounting) accumulates here and is
@@ -569,15 +588,17 @@ class ReteMatcher : public Matcher {
     TimeTag add_ceiling = 0;
     const std::vector<AlphaMemory*>* cur_amems = nullptr;
     size_t cur_amem_ord = 0;
-    /// Time tag of the removal change being replayed (0 for adds) — the
-    /// replay-task counterpart of ReteMatcher::removing_tag_.
+    /// Time tag of the removal change being replayed (0 for adds), stamped
+    /// onto tokens its unblock cascade creates (Token::born_of_removal).
     TimeTag removing_tag = 0;
+    /// Bulk-deletion scratch (kept across batches for its capacity).
+    DeletionScratch scratch;
   };
 
   /// One batch change's replay plan (phase A output).
   struct ChangeRec {
     /// Alpha memories the change's WME entered (adds, in activation order)
-    /// or occupied (removals, in the order ApplyAdd filed them).
+    /// or occupied (removals, in the order its add filed them).
     std::vector<AlphaMemory*> amems;
     /// Highest time tag visible before / after this change's add (adds are
     /// tag-monotone within a batch, so a ceiling encodes add visibility).
@@ -585,50 +606,30 @@ class ReteMatcher : public Matcher {
     TimeTag ceiling = 0;
   };
 
-  /// One in-progress bulk deletion (ReteOptions::bulk_removal): the dead
-  /// tokens awaiting recycle plus every container that needs exactly one
-  /// stable compaction pass. Sequential paths reuse the matcher's
-  /// `scratch_`; each replay task keeps its own (it only ever names
-  /// per-shard state, so no synchronization).
-  struct DeletionScratch {
-    std::vector<Token*> dead;
-    /// Nodes whose outputs_ hold dead entries (compact_pending_ set).
-    std::vector<BetaNode*> dirty_nodes;
-    /// Live parents whose children vector holds dead entries, paired with
-    /// the arena those child ids resolve against (the dead children's
-    /// shard; the parent itself may be the arena-less shard root).
-    std::vector<std::pair<TokenArena*, Token*>> dirty_parents;
-    /// tokens_by_wme entries holding dead entries (AnchorList::dirty set).
-    std::vector<std::pair<RuleShard*, TimeTag>> dirty_anchors;
-    bool empty() const { return dead.empty(); }
-  };
-
-  /// One removal batch's grouped alpha exits: victims collected per
-  /// memory, then each memory compacted once by Commit(). Commit asserts
-  /// every victim was present — ApplyRemove and the grouped run previously
-  /// both exited overlapping ranges, masked only because linear RemoveItem
-  /// of an absent item was a silent no-op.
+  /// One batch's grouped alpha exits: victims collected per memory (in
+  /// AlphaMemory::exiting_), then each memory compacted once by Commit().
+  /// Commit asserts every victim was present: a WME leaves each alpha
+  /// memory exactly once per batch.
   class AlphaExitBatch {
    public:
     void Add(AlphaMemory* am, const WmePtr& wme);
     void Commit();
 
    private:
-    std::unordered_map<AlphaMemory*, std::vector<WmePtr>> exits_;
     std::vector<AlphaMemory*> order_;  // first-touch order, deterministic
   };
 
-  /// The stats sink for the current thread: the replay-task accumulator
-  /// during phase B, the matcher's own counters otherwise.
+  /// The stats sink for the current thread: the replay accumulator during
+  /// phase B, the matcher's own counters otherwise (AddRule/RemoveRule).
   ReteStats& stats_sink() {
     ReplayCtx* ctx = tls_replay_;
     return (ctx != nullptr && ctx->net == this) ? ctx->stats : stats_;
   }
 
   /// The replay context installed on this thread for *this* matcher, or
-  /// nullptr (sequential paths). Slice-scan forks capture it explicitly:
-  /// a pool worker executing a slice task has its own thread-locals, not
-  /// the forking replay's.
+  /// nullptr (AddRule/RemoveRule, which see the whole memory). Slice-scan
+  /// forks capture it explicitly: a pool worker executing a slice task has
+  /// its own thread-locals, not the forking replay's.
   ReplayCtx* CurrentReplayCtx() const {
     ReplayCtx* ctx = tls_replay_;
     return (ctx != nullptr && ctx->net == this) ? ctx : nullptr;
@@ -637,17 +638,17 @@ class ReteMatcher : public Matcher {
   /// Whether the item with time tag `tag` — found in `amem`'s physical
   /// storage — is visible to the replay `ctx` at its current change.
   /// Callers outside a replay (ctx == nullptr) skip the call entirely:
-  /// everything physically live is visible. Pure: reads only the context
-  /// and `replay_removed_`, which is frozen during phase B — safe from
-  /// concurrent slice tasks. Keyed by tag (unique per WME) so columnar
+  /// everything physically live is visible. Pure: reads only the context,
+  /// `replay_removed_` and the memories' exit queues, all frozen during
+  /// phase B — safe from concurrent slice tasks. Keyed by tag (unique per WME) so columnar
   /// scans check visibility from the contiguous tag column without
   /// touching the WME.
   bool ReplayVisibleTag(TimeTag tag, const AlphaMemory* amem,
                         const ReplayCtx* ctx) const {
     if (tag > ctx->add_ceiling) return false;  // added later in the batch
     if (tag > ctx->prev_ceiling) {
-      // The tag belongs to the WME of the change being replayed.
-      // Sequential ApplyAdd inserts it into one alpha memory at a time,
+      // The tag belongs to the WME of the change being replayed. A
+      // change-by-change walk inserts it into one alpha memory at a time,
       // activating that memory's successors before inserting into the
       // next — so mid-change it is visible only in the memories already
       // entered.
@@ -657,7 +658,7 @@ class ReteMatcher : public Matcher {
       }
       return false;
     }
-    if (!replay_removed_.empty()) {
+    if (!amem->exiting_.empty()) {  // the memory holds a removed WME
       auto it = replay_removed_.find(tag);
       if (it != replay_removed_.end() && it->second <= ctx->epoch) {
         return false;  // removed at or before the current change
@@ -691,18 +692,6 @@ class ReteMatcher : public Matcher {
   AlphaMemory* GetOrCreateAlpha(const CompiledCondition& cond,
                                 const AlphaPattern* pattern);
 
-  /// Shared bodies of OnAdd/OnRemove (also used by the batched path).
-  void ApplyAdd(const WmePtr& wme);
-  void ApplyRemove(const WmePtr& wme);
-  /// Processes `changes[begin, end)` — a run of consecutive removals — with
-  /// the alpha-memory exits hoisted ahead of token deletion. Falls back to
-  /// per-WME ApplyRemove when a touched alpha has a negative successor.
-  void ApplyRemoveRun(const std::vector<WmChange>& changes, size_t begin,
-                      size_t end);
-  /// Token-tree deletion half of a removal (after the alpha exits): deletes
-  /// the WME's anchored tokens shard by shard in registration order.
-  void FinishRemove(const WmePtr& wme);
-
   // --- bulk tree deletion (ReteOptions::bulk_removal) ---
   /// Recursively detaches `t`'s subtree: sinks are notified in the exact
   /// per-token deletion order, tokens are dead-marked, and every touched
@@ -714,20 +703,18 @@ class ReteMatcher : public Matcher {
   /// Compacts every queued container (stable order) and recycles the dead
   /// tokens into their shards' arenas. Scans must never observe a dead
   /// token: callers flush before any join scan can reach a queued
-  /// container (per WME when negative nodes watch the memories, per
-  /// removal run / before the next add otherwise).
+  /// container (per WME when the shard has a negative node, before the
+  /// next add and at the end of the replay otherwise).
   void FlushDeletions(DeletionScratch* s);
   /// Debug invariant sweep: no anchor entry is empty, dirty, or holding a
   /// dead token once a batch completes. No-op in release builds.
   void CheckAnchorInvariants() const;
 
-  /// The sequential OnBatch body.
-  void OnBatchSequential(const ChangeBatch& batch);
-  /// The three-phase parallel OnBatch body (requires options_.pool).
-  void OnBatchParallel(const ChangeBatch& batch);
-  /// Phase B task: replays the whole change sequence against one shard.
+  /// Phase B task: replays the whole change sequence against one shard
+  /// along `plan_`. Conflict-set sends buffer into `delta`, or apply
+  /// directly when it is null (a lone touched shard: its sends already
+  /// come in merge order).
   void ReplayShard(RuleShard* shard, const std::vector<WmChange>& changes,
-                   const std::vector<ChangeRec>& plan,
                    ConflictSet::Delta* delta, ReplayCtx* ctx);
   /// Folds a finished task's accumulators into the matcher state.
   void MergeCtx(ReplayCtx* ctx);
@@ -753,19 +740,22 @@ class ReteMatcher : public Matcher {
   std::vector<RuleShard*> shards_;
   /// Alpha memories each live WME passed (the shared half of removal).
   std::unordered_map<TimeTag, std::vector<AlphaMemory*>> wme_amems_;
-  /// WMEs removed by the in-flight batch (parallel path only): time tag ->
-  /// index of its removal change. Physically still in the alpha memories
-  /// until phase C; ReplayVisibleTag hides them from later epochs.
+  /// WMEs removed by the in-flight batch: time tag -> index of its removal
+  /// change. Physically still in the alpha memories until phase C;
+  /// ReplayVisibleTag hides them from later epochs.
   std::unordered_map<TimeTag, size_t> replay_removed_;
   size_t live_tokens_ = 0;
-  /// Bulk-deletion scratch of the sequential paths (reused across flushes
-  /// to keep its vectors' capacity warm).
-  DeletionScratch scratch_;
-  /// Time tag of the removal the sequential path is currently applying
-  /// (ApplyRemove steps 2–3), stamped onto tokens its unblock cascade
-  /// creates (Token::born_of_removal); 0 outside a removal. Replay tasks
-  /// carry their own copy in ReplayCtx::removing_tag.
-  TimeTag removing_tag_ = 0;
+  // Per-batch working storage, members so that steady-state batches reuse
+  // its capacity: the replay plan (first batch.size() entries are live),
+  // the touched shards in registration order, and one context + delta per
+  // touched shard.
+  std::vector<ChangeRec> plan_;
+  std::vector<RuleShard*> targets_;
+  std::vector<ReplayCtx> ctxs_;
+  std::vector<ConflictSet::Delta> deltas_;
+  AlphaExitBatch exits_;
+  /// Batch counter behind RuleShard::replay_batch.
+  uint64_t batch_seq_ = 0;
   ReteOptions options_;
   ReteStats stats_;
   /// "phase.match" scope timer, non-null only when the registry has timing

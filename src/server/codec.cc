@@ -179,11 +179,10 @@ Result<int64_t> DecodeTag(const obs::JsonValue& j) {
   return ParseInt(j.string, "tag");
 }
 
-std::string EncodeBatch(uint64_t lsn, bool direct,
-                        const std::vector<WmChange>& changes,
+std::string EncodeBatch(uint64_t lsn, const std::vector<WmChange>& changes,
                         TimeTag next_tag, const SymbolTable& symbols) {
   std::string out = "{\"t\":\"batch\",\"lsn\":" + QuotedU64(lsn);
-  out += direct ? ",\"direct\":true" : ",\"direct\":false";
+  out += ",\"direct\":false";  // see WalEntry::direct
   out += ",\"next_tag\":" + QuotedInt(next_tag);
   out += ",\"changes\":[";
   for (size_t i = 0; i < changes.size(); ++i) {

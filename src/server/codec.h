@@ -18,9 +18,8 @@ namespace server {
 
 /// One decoded WAL record. Two kinds:
 ///
-///   kBatch — a committed ChangeBatch (or one direct, non-transactional
-///   per-WME event), recorded physically: exact time tags, modify pairs,
-///   and the post-commit tag counter. Replays through
+///   kBatch — a committed ChangeBatch, recorded physically: exact time
+///   tags, modify pairs, and the post-commit tag counter. Replays through
 ///   `WorkingMemory::ApplyReplay`, i.e. the normal batch path.
 ///
 ///   kRun — a recognize-act run requested by the client, recorded
@@ -34,7 +33,10 @@ struct WalEntry {
   Kind kind = Kind::kBatch;
   uint64_t lsn = 0;
   // kBatch
-  bool direct = false;  // delivered as a per-WME event, not a transaction
+  /// Written as false. Logs from before every WM change was a ChangeBatch
+  /// mark a mutation made outside a transaction true; such a record
+  /// replays as the one-change batch that mutation is today.
+  bool direct = false;
   TimeTag next_tag = 0;
   std::vector<ReplayChange> changes;
   // kRun
@@ -53,8 +55,7 @@ std::string EncodeTag(int64_t v);
 Result<int64_t> DecodeTag(const obs::JsonValue& j);
 
 /// WAL payload encoders. `changes` come straight from the live listener.
-std::string EncodeBatch(uint64_t lsn, bool direct,
-                        const std::vector<WmChange>& changes,
+std::string EncodeBatch(uint64_t lsn, const std::vector<WmChange>& changes,
                         TimeTag next_tag, const SymbolTable& symbols);
 std::string EncodeRun(uint64_t lsn, int max_firings);
 

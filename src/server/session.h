@@ -39,8 +39,8 @@ struct RecoveryInfo {
   bool crc_mismatch = false;
 };
 
-/// One engine instance with durability: every committed ChangeBatch (and
-/// every direct, non-transactional WM event) is journaled to an
+/// One engine instance with durability: every committed ChangeBatch (a
+/// mutation outside a transaction commits as its own) is journaled to an
 /// append-only CRC-framed WAL, and `run` commands are journaled logically
 /// and re-executed at recovery (see codec.h for why). Opening a session
 /// whose WAL or snapshot files exist replays that history through the

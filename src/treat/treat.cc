@@ -412,7 +412,7 @@ void TreatMatcher::ApplyAdd(const WmePtr& wme) {
 }
 
 void TreatMatcher::ApplyRemoveFromRule(RuleState* rs, const WmePtr& wme,
-                                       bool defer_unblock, Stats* stats) {
+                                       Stats* stats) {
   bool touched_pos = false, touched_neg = false;
   for (size_t ce = 0; ce < rs->alpha.size(); ++ce) {
     if (!rs->alpha[ce].Remove(*wme)) continue;
@@ -420,19 +420,14 @@ void TreatMatcher::ApplyRemoveFromRule(RuleState* rs, const WmePtr& wme,
   }
   if (touched_pos) DropInstsContaining(rs, *wme);
   if (touched_neg) {
-    if (defer_unblock) {
-      if (rs->needs_research) ++stats->coalesced_researches;
-      rs->needs_research = true;
-    } else {
-      SearchAll(rs, stats);  // unblocking re-search
-    }
+    // The unblocking re-search runs once per rule at batch end.
+    if (rs->needs_research) ++stats->coalesced_researches;
+    rs->needs_research = true;
   }
 }
 
-void TreatMatcher::ApplyRemove(const WmePtr& wme, bool defer_unblock) {
-  for (const auto& rs : rules_) {
-    ApplyRemoveFromRule(rs.get(), wme, defer_unblock, &stats_);
-  }
+void TreatMatcher::ApplyRemove(const WmePtr& wme) {
+  for (const auto& rs : rules_) ApplyRemoveFromRule(rs.get(), wme, &stats_);
 }
 
 void TreatMatcher::DropInstsContainingAny(
@@ -455,10 +450,10 @@ void TreatMatcher::DropInstsContainingAny(
   }
 }
 
-void TreatMatcher::ApplyRemoveRun(const std::vector<WmChange>& changes,
-                                  size_t begin, size_t end) {
+void TreatMatcher::RemoveRun(const std::vector<WmChange>& changes,
+                             size_t begin, size_t end) {
   if (end - begin == 1) {
-    ApplyRemove(changes[begin].wme, /*defer_unblock=*/true);
+    ApplyRemove(changes[begin].wme);
     return;
   }
   ++stats_.grouped_removals;
@@ -492,16 +487,6 @@ void TreatMatcher::ApplyRemoveRun(const std::vector<WmChange>& changes,
   }
 }
 
-void TreatMatcher::OnAdd(const WmePtr& wme) {
-  obs::ScopedTimer timer(match_timer_);
-  ApplyAdd(wme);
-}
-
-void TreatMatcher::OnRemove(const WmePtr& wme) {
-  obs::ScopedTimer timer(match_timer_);
-  ApplyRemove(wme, /*defer_unblock=*/false);
-}
-
 void TreatMatcher::ReplayRule(RuleState* rs, const ChangeBatch& batch,
                               ConflictSet::Delta* delta, Stats* stats) {
   // Scoped: while this task waits on a slice fork it help-drains the pool
@@ -514,7 +499,7 @@ void TreatMatcher::ReplayRule(RuleState* rs, const ChangeBatch& batch,
     if (c.added) {
       ApplyAddToRule(rs, c.wme, stats);
     } else {
-      ApplyRemoveFromRule(rs, c.wme, /*defer_unblock=*/true, stats);
+      ApplyRemoveFromRule(rs, c.wme, stats);
     }
   }
   if (rs->needs_research) {
@@ -556,7 +541,7 @@ void TreatMatcher::OnBatch(const ChangeBatch& batch) {
       stats_.intra_splits += s.intra_splits;
       stats_.intra_slice_tasks += s.intra_slice_tasks;
     }
-    cs_->ApplyDeltas(&deltas);
+    cs_->ApplyDeltas(deltas);
     return;
   }
   // Consecutive removals apply as one grouped run (mirrors the Rete
@@ -570,7 +555,7 @@ void TreatMatcher::OnBatch(const ChangeBatch& batch) {
     }
     size_t j = i + 1;
     while (j < changes.size() && !changes[j].added) ++j;
-    ApplyRemoveRun(changes, i, j);
+    RemoveRun(changes, i, j);
     i = j;
   }
   for (const auto& rs : rules_) {

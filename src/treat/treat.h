@@ -34,9 +34,9 @@ class TreatMatcher : public Matcher {
     uint64_t full_searches = 0;
     /// ChangeBatch deliveries handled natively.
     uint64_t batches = 0;
-    /// Unblocking re-searches coalesced by batching (per-WME delivery would
-    /// have run one SearchAll per negated-CE removal; the batch runs one
-    /// per touched rule).
+    /// Unblocking re-searches coalesced by batching (a change-by-change
+    /// walk would run one SearchAll per negated-CE removal; the batch runs
+    /// one per touched rule).
     uint64_t coalesced_researches = 0;
     /// Multi-removal runs in a batch handled as one grouped pass (one alpha
     /// compaction + one instantiation sweep per rule instead of one of each
@@ -78,12 +78,9 @@ class TreatMatcher : public Matcher {
   Status RemoveRule(const CompiledRule* rule) override;
   ConflictSet& conflict_set() override { return *cs_; }
 
-  void OnAdd(const WmePtr& wme) override;
-  void OnRemove(const WmePtr& wme) override;
-  /// Native batched propagation: replays the changes in staging order so
-  /// seeded searches see exactly the per-WME alpha states, but defers the
-  /// negated-CE unblocking re-search to one SearchAll per touched rule at
-  /// batch end (final instantiation set is order-insensitive: every row the
+  /// Replays the changes in staging order so seeded searches see exactly
+  /// the change-by-change alpha states, but defers the negated-CE
+  /// unblocking re-search to one SearchAll per touched rule at batch end (final instantiation set is order-insensitive: every row the
   /// intermediate re-searches could emit is either found by the final one
   /// or was deleted by a later change anyway).
   void OnBatch(const ChangeBatch& batch) override;
@@ -110,21 +107,19 @@ class TreatMatcher : public Matcher {
   };
 
   void ApplyAdd(const WmePtr& wme);
-  /// `defer_unblock`: flag the rule for a batch-end SearchAll instead of
-  /// re-searching immediately on a negated-CE removal.
-  void ApplyRemove(const WmePtr& wme, bool defer_unblock);
+  /// A negated-CE removal flags the rule for a batch-end SearchAll.
+  void ApplyRemove(const WmePtr& wme);
   /// Grouped form of ApplyRemove for a run of consecutive removals
   /// `[begin, end)` in a batch: one stable alpha compaction and one
   /// instantiation sweep per rule for the whole run. Final rule state,
   /// surviving alpha order, and the coalesced_researches count are
-  /// identical to removing the WMEs one at a time with defer_unblock.
-  void ApplyRemoveRun(const std::vector<WmChange>& changes, size_t begin,
-                      size_t end);
+  /// identical to removing the WMEs one at a time.
+  void RemoveRun(const std::vector<WmChange>& changes, size_t begin,
+                 size_t end);
   /// Single-rule bodies of ApplyAdd/ApplyRemove. Counters go through
   /// `stats` so concurrent per-rule replays can accumulate privately.
   void ApplyAddToRule(RuleState* rs, const WmePtr& wme, Stats* stats);
-  void ApplyRemoveFromRule(RuleState* rs, const WmePtr& wme,
-                           bool defer_unblock, Stats* stats);
+  void ApplyRemoveFromRule(RuleState* rs, const WmePtr& wme, Stats* stats);
   /// One task of the parallel batch path: replays every change against one
   /// rule, buffering conflict-set ops into `delta` with per-change stamps.
   void ReplayRule(RuleState* rs, const ChangeBatch& batch,

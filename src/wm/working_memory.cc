@@ -44,8 +44,6 @@ WorkingMemory::WorkingMemory(const SchemaRegistry* schemas,
   metrics_->RegisterCounter(this, "wm.adds", [this] { return stats_.adds; });
   metrics_->RegisterCounter(this, "wm.removes",
                             [this] { return stats_.removes; });
-  metrics_->RegisterCounter(this, "wm.direct_events",
-                            [this] { return stats_.direct_events; });
   metrics_->RegisterCounter(this, "wm.batches",
                             [this] { return stats_.batches; });
   metrics_->RegisterCounter(this, "wm.batched_changes",
@@ -117,9 +115,12 @@ Result<WmePtr> WorkingMemory::MakeFromFields(SymbolId cls,
     return Status::InvalidArgument("make: wrong field count for class '" +
                                    std::string(symbols_->Name(cls)) + "'");
   }
+  const bool implicit = !InTransaction();
+  if (implicit) Begin();
   WmePtr wme = AllocateWme(cls, std::move(fields), next_tag_++);
   live_.emplace(wme->time_tag(), wme);
-  NotifyAdd(wme, /*modify_pair=*/0);
+  StageAdd(wme, /*modify_pair=*/0);
+  if (implicit) (void)Commit();  // cannot fail: a transaction is open
   return wme;
 }
 
@@ -129,9 +130,12 @@ Status WorkingMemory::Remove(TimeTag tag) {
     return Status::NotFound("remove: no live WME with time tag " +
                             std::to_string(tag));
   }
+  const bool implicit = !InTransaction();
+  if (implicit) Begin();
   WmePtr wme = it->second;
   live_.erase(it);
-  NotifyRemove(wme, /*modify_pair=*/0);
+  StageRemove(wme, /*modify_pair=*/0);
+  if (implicit) return Commit();
   return Status::Ok();
 }
 
@@ -148,36 +152,29 @@ Result<WmePtr> WorkingMemory::Replace(TimeTag tag, std::vector<Value> fields) {
                                    std::string(symbols_->Name(old->cls())) +
                                    "'");
   }
+  const bool implicit = !InTransaction();
+  if (implicit) Begin();
   WmePtr wme = AllocateWme(old->cls(), std::move(fields), next_tag_++);
   live_.erase(it);
-  NotifyRemove(old, /*modify_pair=*/wme->time_tag());
+  StageRemove(old, /*modify_pair=*/wme->time_tag());
   live_.emplace(wme->time_tag(), wme);
-  NotifyAdd(wme, /*modify_pair=*/tag);
+  StageAdd(wme, /*modify_pair=*/tag);
+  if (implicit) (void)Commit();  // cannot fail: a transaction is open
   return wme;
 }
 
-void WorkingMemory::NotifyAdd(const WmePtr& wme, TimeTag modify_pair) {
+void WorkingMemory::StageAdd(const WmePtr& wme, TimeTag modify_pair) {
   ++stats_.adds;
-  if (InTransaction()) {
-    staged_.push_back({wme, /*added=*/true, modify_pair});
-    return;
-  }
-  ++stats_.direct_events;
-  for (Listener* l : listeners_) l->OnAdd(wme);
+  staged_.push_back({wme, /*added=*/true, modify_pair});
 }
 
-void WorkingMemory::NotifyRemove(const WmePtr& wme, TimeTag modify_pair) {
+void WorkingMemory::StageRemove(const WmePtr& wme, TimeTag modify_pair) {
   ++stats_.removes;
-  if (InTransaction()) {
-    // Staged even when the add is in the same transaction: the staged
-    // sequence doubles as the undo log, and a rollback to a savepoint
-    // between the add and this remove must restore the WME. Never-
-    // observable pairs are netted out at top-level commit instead.
-    staged_.push_back({wme, /*added=*/false, modify_pair});
-    return;
-  }
-  ++stats_.direct_events;
-  for (Listener* l : listeners_) l->OnRemove(wme);
+  // Staged even when the add is in the same transaction: the staged
+  // sequence doubles as the undo log, and a rollback to a savepoint
+  // between the add and this remove must restore the WME. Never-
+  // observable pairs are netted out at top-level commit instead.
+  staged_.push_back({wme, /*added=*/false, modify_pair});
 }
 
 void WorkingMemory::Begin() { savepoints_.push_back({staged_.size(), next_tag_}); }
@@ -189,8 +186,7 @@ Status WorkingMemory::Commit() {
   savepoints_.pop_back();
   if (!savepoints_.empty()) return Status::Ok();  // nested: defer delivery
   if (staged_.empty()) return Status::Ok();
-  ChangeBatch batch;
-  batch.changes.reserve(staged_.size());
+  ChangeBatch& batch = batch_;
   // A WME both made and removed inside the transaction was never
   // observable: net the pair out of the delivered batch.
   std::vector<TimeTag> netted;
@@ -226,6 +222,9 @@ Status WorkingMemory::Commit() {
                       .Num("changes", batch.changes.size()));
   }
   for (Listener* l : listeners_) l->OnBatch(batch);
+  // Keep the vector's capacity for the next commit, but not the WMEs: a
+  // removed WME dies as soon as the matchers let go of it.
+  batch.changes.clear();
   return Status::Ok();
 }
 
@@ -255,14 +254,13 @@ void WorkingMemory::Rollback() {
 }
 
 Status WorkingMemory::ApplyReplay(const std::vector<ReplayChange>& changes,
-                                  TimeTag next_tag_after, bool transactional) {
-  if (transactional && InTransaction()) {
-    return Status::InvalidArgument(
-        "replay: transactional replay inside an open transaction");
+                                  TimeTag next_tag_after) {
+  if (InTransaction()) {
+    return Status::InvalidArgument("replay: inside an open transaction");
   }
-  if (transactional) Begin();
-  auto fail = [this, transactional](Status status) {
-    if (transactional) Rollback();
+  Begin();
+  auto fail = [this](Status status) {
+    Rollback();
     return status;
   };
   for (const ReplayChange& c : changes) {
@@ -289,7 +287,7 @@ Status WorkingMemory::ApplyReplay(const std::vector<ReplayChange>& changes,
       next_tag_ = c.tag;
       WmePtr wme = AllocateWme(c.cls, c.fields, next_tag_++);
       live_.emplace(wme->time_tag(), wme);
-      NotifyAdd(wme, c.modify_pair);
+      StageAdd(wme, c.modify_pair);
     } else {
       auto it = live_.find(c.tag);
       if (it == live_.end()) {
@@ -298,12 +296,11 @@ Status WorkingMemory::ApplyReplay(const std::vector<ReplayChange>& changes,
       }
       WmePtr wme = it->second;
       live_.erase(it);
-      NotifyRemove(wme, c.modify_pair);
+      StageRemove(wme, c.modify_pair);
     }
   }
   next_tag_ = next_tag_after;
-  if (transactional) return Commit();
-  return Status::Ok();
+  return Commit();
 }
 
 WmePtr WorkingMemory::Find(TimeTag tag) const {

@@ -31,14 +31,15 @@ struct ReplayChange {
 
 /// The working memory: the set of live WMEs, indexed by time tag.
 ///
-/// Matchers (Rete, TREAT, DIPS) subscribe as `Listener`s. Outside a
-/// transaction every add/remove is delivered synchronously through
-/// `OnAdd`/`OnRemove`, which is what drives incremental matching. Inside a
-/// `Begin`/`Commit` transaction, changes apply to the live set immediately
-/// (reads see them) but listener delivery is deferred: the whole staged
+/// Matchers (Rete, TREAT, plan, DIPS) subscribe as `Listener`s, and every
+/// change reaches them the same way: as a `ChangeBatch` through `OnBatch`.
+/// Inside a `Begin`/`Commit` transaction, changes apply to the live set
+/// immediately (reads see them) but delivery is deferred: the whole staged
 /// sequence arrives as one `OnBatch` at top-level commit, and `Rollback`
 /// undoes the staged changes without listeners ever observing them — the
-/// all-or-nothing semantics §8.1's DIPS transactions call for.
+/// all-or-nothing semantics §8.1's DIPS transactions call for. A mutation
+/// outside a transaction is an implicit one-mutation transaction: it is
+/// delivered at once, as a batch of one change (two for a modify).
 class WorkingMemory {
  public:
   /// Receives WM change notifications. Listeners must not mutate WM from
@@ -46,12 +47,9 @@ class WorkingMemory {
   class Listener {
    public:
     virtual ~Listener() = default;
-    virtual void OnAdd(const WmePtr& wme) = 0;
-    virtual void OnRemove(const WmePtr& wme) = 0;
     /// A committed transaction's changes, in staging order. The default
-    /// adapter replays them through the per-WME callbacks, so listeners
-    /// that never heard of batches keep working; matchers override this
-    /// with a native batched path.
+    /// adapter walks them through the per-change hooks below, for
+    /// listeners (printers, indexes) that only want one change at a time.
     virtual void OnBatch(const ChangeBatch& batch) {
       for (const WmChange& c : batch.changes) {
         if (c.added) {
@@ -61,16 +59,17 @@ class WorkingMemory {
         }
       }
     }
+    /// Per-change hooks of the default OnBatch adapter (no-ops).
+    virtual void OnAdd(const WmePtr& /*wme*/) {}
+    virtual void OnRemove(const WmePtr& /*wme*/) {}
   };
 
   /// Counters for the propagation boundary (see Engine::match_stats()).
   struct Stats {
     uint64_t adds = 0;
     uint64_t removes = 0;
-    /// Per-WME notifications delivered outside transactions (each one is a
-    /// full propagation wave through every listener).
-    uint64_t direct_events = 0;
-    /// OnBatch deliveries (one propagation wave per committed transaction).
+    /// OnBatch deliveries (one propagation wave per committed transaction,
+    /// implicit one-mutation transactions included).
     uint64_t batches = 0;
     /// Changes delivered inside those batches.
     uint64_t batched_changes = 0;
@@ -111,8 +110,8 @@ class WorkingMemory {
   Status Remove(TimeTag tag);
 
   /// OPS5 modify: removes `tag` and re-makes its class with `fields` under a
-  /// fresh time tag, staging the two halves as a linked delta pair when
-  /// inside a transaction. Returns the new WME.
+  /// fresh time tag, staging the two halves as a linked delta pair. Returns
+  /// the new WME.
   Result<WmePtr> Replace(TimeTag tag, std::vector<Value> fields);
 
   // --- transactions ---
@@ -132,20 +131,16 @@ class WorkingMemory {
   size_t transaction_depth() const { return savepoints_.size(); }
 
   // --- WAL recovery (src/server) ---
-  /// Re-applies a recovered change sequence exactly as recorded: adds
-  /// re-make their WMEs under the original time tags, removes retract by
-  /// tag, and every change keeps its recorded modify pairing. With
-  /// `transactional`, the whole sequence is wrapped in Begin/Commit and
-  /// reaches listeners as one ChangeBatch — the normal batch path — and
-  /// otherwise each change is delivered as a direct per-WME event, exactly
-  /// as the live run delivered it. `next_tag_after` restores the tag
-  /// counter to its recorded post-commit value (netting can make it run
-  /// ahead of the last add in the batch). Errors if `transactional` is
-  /// requested inside an open transaction, on a tag collision with a live
-  /// WME, or on a schema mismatch; a failed transactional replay rolls
-  /// back.
+  /// Re-applies a recovered change sequence exactly as recorded, as one
+  /// transaction: adds re-make their WMEs under the original time tags,
+  /// removes retract by tag, every change keeps its recorded modify
+  /// pairing, and the whole sequence reaches listeners as one ChangeBatch.
+  /// `next_tag_after` restores the tag counter to its recorded post-commit
+  /// value (netting can make it run ahead of the last add in the batch).
+  /// Errors, rolling back, inside an open transaction, on a tag collision
+  /// with a live WME, or on a schema mismatch.
   Status ApplyReplay(const std::vector<ReplayChange>& changes,
-                     TimeTag next_tag_after, bool transactional);
+                     TimeTag next_tag_after);
 
   /// Live WME with `tag`, or nullptr.
   WmePtr Find(TimeTag tag) const;
@@ -163,8 +158,10 @@ class WorkingMemory {
   void ResetStats() { stats_ = {}; }
 
  private:
-  void NotifyAdd(const WmePtr& wme, TimeTag modify_pair);
-  void NotifyRemove(const WmePtr& wme, TimeTag modify_pair);
+  /// Stage one change of the open transaction (the implicit one of a
+  /// mutation made outside any, see Make/Remove/Replace).
+  void StageAdd(const WmePtr& wme, TimeTag modify_pair);
+  void StageRemove(const WmePtr& wme, TimeTag modify_pair);
   /// WME construction: through the slab pool when enabled, make_shared
   /// otherwise.
   WmePtr AllocateWme(SymbolId cls, std::vector<Value> fields, TimeTag tag);
@@ -185,6 +182,9 @@ class WorkingMemory {
   };
   /// One entry per open transaction.
   std::vector<Savepoint> savepoints_;
+  /// The batch a top-level commit delivers (empty between commits; kept as
+  /// a member so tiny implicit transactions reuse its capacity).
+  ChangeBatch batch_;
   Stats stats_;
   /// Slab pool for WME blocks (null when slab allocation is disabled).
   /// shared_ptr: every WME's control block co-owns the pool, so WMEs that

@@ -1,11 +1,19 @@
-// Batched-propagation equivalence: with `batched_wm` on, every firing's
-// changes reach the matchers as one ChangeBatch (S-nodes evaluate `:test`
-// once per touched SOI, TREAT coalesces re-searches, DIPS refreshes once
-// per rule) — yet the observable behavior must be bit-identical to the
-// per-WME baseline: same firing sequence (rule + recency tags), same
-// conflict sets, same final working memory, same time-tag counter. Checked
-// for every matcher × strategy over random op sequences with WM-mutating
-// rules.
+// Batch-granularity equivalence: every working-memory change reaches the
+// matchers as a ChangeBatch, and how client changes are grouped into
+// batches must not be observable. One engine commits each client op on its
+// own (an implicit one-op transaction); the other groups the same ops into
+// random-size transactions, so the matchers see multi-change batches
+// (S-nodes evaluate `:test` once per touched SOI, TREAT coalesces
+// re-searches, DIPS refreshes once per rule). At every run both must agree
+// bit for bit: same firing sequence (rule + recency tags), same conflict
+// set, same final working memory, same time-tag counter. Checked for every
+// matcher × strategy over random op sequences with WM-mutating rules, set
+// rules included on Rete and DIPS.
+//
+// A group closes before it would remove a WME it made itself: such a pair
+// nets out of the batch by design (the WME was never observable), while
+// committed one per op it is observable — a fired SOI it joins and leaves
+// becomes eligible again.
 
 #include <gtest/gtest.h>
 
@@ -43,9 +51,9 @@ constexpr const char* kTupleRules =
     "(p lone-b { (player ^team B ^name <n>) <p> }"
     " - (player ^team A ^name <n>) --> (modify <p> ^team A))";
 
-// Set-oriented mutating rules (Rete and DIPS only; TREAT rejects set CEs).
-// Scores are 0..5, so a passing SOI always has >= 2 members — its recency
-// tags can never tie with a single-CE instantiation's.
+// Set-oriented mutating rules (Rete and DIPS only; TREAT and plan reject
+// set CEs). Scores are 0..5, so a passing SOI always has >= 2 members —
+// its recency tags can never tie with a single-CE instantiation's.
 constexpr const char* kSetRules =
     "(p zero-team { [player ^team <t> ^score <s>] <P> } :scalar (<t>)"
     " :test ((sum <s>) > 8) --> (set-modify <P> ^score 0))";
@@ -80,106 +88,134 @@ std::string Dump(Engine& engine) {
   return out.str();
 }
 
-/// Drives a batched and an unbatched engine through the same random add /
-/// remove / run schedule and asserts bit-identical behavior throughout.
+/// Drives a one-op-per-batch engine and a grouped engine through the same
+/// random add / remove / run schedule and asserts bit-identical behavior
+/// at every run.
 void CheckEquivalence(MatcherKind matcher, Strategy strategy, unsigned seed,
                       bool with_set_rules) {
-  std::ostringstream batched_trace, unbatched_trace;
-  EngineOptions batched_opts, unbatched_opts;
-  batched_opts.matcher = unbatched_opts.matcher = matcher;
-  batched_opts.strategy = unbatched_opts.strategy = strategy;
-  batched_opts.trace_firings = unbatched_opts.trace_firings = true;
-  batched_opts.batched_wm = true;
-  unbatched_opts.batched_wm = false;
-  Engine batched(batched_opts), unbatched(unbatched_opts);
-  batched.set_output(&batched_trace);
-  unbatched.set_output(&unbatched_trace);
+  std::ostringstream single_trace, grouped_trace;
+  EngineOptions opts;
+  opts.matcher = matcher;
+  opts.strategy = strategy;
+  opts.trace_firings = true;
+  Engine single(opts), grouped(opts);
+  single.set_output(&single_trace);
+  grouped.set_output(&grouped_trace);
   std::string program = std::string(kSchema) + kTupleRules;
   if (with_set_rules) program += kSetRules;
-  MustLoad(batched, program);
-  MustLoad(unbatched, program);
+  MustLoad(single, program);
+  MustLoad(grouped, program);
 
   Rng rng(seed);
+  WorkingMemory& gwm = grouped.wm();
+  unsigned group_left = 0;
+  std::set<TimeTag> made_in_group;
+  auto close_group = [&] {
+    if (gwm.InTransaction()) {
+      ASSERT_TRUE(gwm.Commit().ok());
+    }
+    made_in_group.clear();
+  };
+  auto open_group = [&] {
+    if (gwm.InTransaction()) return;
+    gwm.Begin();
+    group_left = 1 + rng.Next(5);
+  };
   static const char* kNames[] = {"ann", "bob", "cyd", "dee"};
   static const char* kTeams[] = {"A", "B", "C"};
-  for (int step = 0; step < 36; ++step) {
+  for (int step = 0; step < 40; ++step) {
     // Rule firings mutate the WM, so removal targets come from the live
-    // snapshot, not a remembered tag list.
-    std::vector<WmePtr> snap = batched.wm().Snapshot();
+    // snapshot, not a remembered tag list. Reads inside the open group see
+    // its staged changes, so both engines see the same snapshot.
+    std::vector<WmePtr> snap = single.wm().Snapshot();
     if (!snap.empty() && rng.Next(4) == 0) {
       TimeTag tag = snap[rng.Next(static_cast<unsigned>(snap.size()))]
                         ->time_tag();
-      ASSERT_NE(unbatched.wm().Find(tag), nullptr) << "step " << step;
-      ASSERT_TRUE(batched.RemoveWme(tag).ok());
-      ASSERT_TRUE(unbatched.RemoveWme(tag).ok());
+      if (made_in_group.count(tag) != 0) close_group();
+      open_group();
+      ASSERT_NE(grouped.wm().Find(tag), nullptr) << "step " << step;
+      ASSERT_TRUE(single.RemoveWme(tag).ok());
+      ASSERT_TRUE(grouped.RemoveWme(tag).ok());
     } else {
       const char* name = kNames[rng.Next(4)];
       const char* team = kTeams[rng.Next(3)];
       auto score = static_cast<int64_t>(rng.Next(6));
-      for (Engine* e : {&batched, &unbatched}) {
+      open_group();
+      TimeTag made = 0;
+      for (Engine* e : {&single, &grouped}) {
         auto r = e->MakeWme("player", {{"name", e->Sym(name)},
                                        {"team", e->Sym(team)},
                                        {"score", Value::Int(score)}});
         ASSERT_TRUE(r.ok());
+        made = *r;
       }
+      made_in_group.insert(made);
     }
-    ASSERT_EQ(Fingerprint(batched), Fingerprint(unbatched))
-        << "step " << step;
+    if (--group_left == 0) close_group();
     if (step % 4 == 3) {
-      int fired_batched = MustRun(batched, 8);
-      int fired_unbatched = MustRun(unbatched, 8);
-      ASSERT_EQ(fired_batched, fired_unbatched) << "step " << step;
-      ASSERT_EQ(batched_trace.str(), unbatched_trace.str())
-          << "step " << step;
-      ASSERT_EQ(Fingerprint(batched), Fingerprint(unbatched))
-          << "step " << step;
+      close_group();
+      ASSERT_EQ(Fingerprint(single), Fingerprint(grouped)) << "step " << step;
+      int fired_single = MustRun(single, 8);
+      int fired_grouped = MustRun(grouped, 8);
+      ASSERT_EQ(fired_single, fired_grouped) << "step " << step;
+      ASSERT_EQ(single_trace.str(), grouped_trace.str()) << "step " << step;
+      ASSERT_EQ(Fingerprint(single), Fingerprint(grouped)) << "step " << step;
       // Identical firing sequence implies identical modifies, so the
       // monotone tag counters must agree too.
-      ASSERT_EQ(batched.wm().next_time_tag(), unbatched.wm().next_time_tag())
+      ASSERT_EQ(single.wm().next_time_tag(), grouped.wm().next_time_tag())
           << "step " << step;
-      ASSERT_EQ(Dump(batched), Dump(unbatched)) << "step " << step;
+      ASSERT_EQ(Dump(single), Dump(grouped)) << "step " << step;
     }
   }
-  // The ablation really took: firings committed batches on one side only.
-  if (batched.run_stats().firings > 0) {
-    EXPECT_GT(batched.match_stats().wm.batches, 0u);
-  }
-  EXPECT_EQ(unbatched.match_stats().wm.batches, 0u);
+  // The grouping really took: the client ops reached the grouped engine's
+  // matchers in fewer, larger batches.
+  EXPECT_EQ(single.wm().stats().adds, grouped.wm().stats().adds);
+  EXPECT_LT(grouped.wm().stats().batches, single.wm().stats().batches);
 }
 
-class BatchedWmEquivalence : public ::testing::TestWithParam<int> {};
+class BatchGranularity : public ::testing::TestWithParam<int> {};
 
-TEST_P(BatchedWmEquivalence, ReteLex) {
+TEST_P(BatchGranularity, ReteLex) {
   CheckEquivalence(MatcherKind::kRete, Strategy::kLex,
                    static_cast<unsigned>(GetParam()), true);
 }
 
-TEST_P(BatchedWmEquivalence, ReteMea) {
+TEST_P(BatchGranularity, ReteMea) {
   CheckEquivalence(MatcherKind::kRete, Strategy::kMea,
                    static_cast<unsigned>(GetParam()) + 100u, true);
 }
 
-TEST_P(BatchedWmEquivalence, TreatLex) {
+TEST_P(BatchGranularity, TreatLex) {
   CheckEquivalence(MatcherKind::kTreat, Strategy::kLex,
                    static_cast<unsigned>(GetParam()) + 200u, false);
 }
 
-TEST_P(BatchedWmEquivalence, TreatMea) {
+TEST_P(BatchGranularity, TreatMea) {
   CheckEquivalence(MatcherKind::kTreat, Strategy::kMea,
                    static_cast<unsigned>(GetParam()) + 300u, false);
 }
 
-TEST_P(BatchedWmEquivalence, DipsLex) {
+TEST_P(BatchGranularity, PlanLex) {
+  CheckEquivalence(MatcherKind::kPlan, Strategy::kLex,
+                   static_cast<unsigned>(GetParam()) + 600u, false);
+}
+
+TEST_P(BatchGranularity, PlanMea) {
+  CheckEquivalence(MatcherKind::kPlan, Strategy::kMea,
+                   static_cast<unsigned>(GetParam()) + 700u, false);
+}
+
+TEST_P(BatchGranularity, DipsLex) {
   CheckEquivalence(MatcherKind::kDips, Strategy::kLex,
                    static_cast<unsigned>(GetParam()) + 400u, true);
 }
 
-TEST_P(BatchedWmEquivalence, DipsMea) {
+TEST_P(BatchGranularity, DipsMea) {
   CheckEquivalence(MatcherKind::kDips, Strategy::kMea,
                    static_cast<unsigned>(GetParam()) + 500u, true);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchedWmEquivalence, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Seeds, BatchGranularity, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace sorel

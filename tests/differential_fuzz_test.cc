@@ -5,8 +5,10 @@
 // WM schedules drive pairs of engines that must agree:
 //
 //   1. Within one matcher, every parallel configuration — match_threads,
-//      intra_rule_split_min_tokens, parallel_rhs, each × batched_wm — must
-//      be bit-identical to the single-threaded baseline: same firing trace
+//      intra_rule_split_min_tokens, parallel_rhs, each with client ops
+//      committed one per transaction and grouped into random-size
+//      transactions — must be bit-identical to the single-threaded
+//      baseline with the same grouping: same firing trace
 //      and write output, same conflict set after every op, same final WM
 //      dump and time-tag counter, same error text.
 //   2. Across matchers (Rete vs TREAT vs DIPS), match-only schedules must
@@ -49,7 +51,9 @@ struct FuzzConfig {
   MatcherKind matcher = MatcherKind::kRete;
   Strategy strategy = Strategy::kLex;
   int threads = 0;
-  bool batched = true;
+  /// Client make/remove ops commit in transactions of 1–4 ops instead of
+  /// one per op (see RunSchedule).
+  bool grouped = false;
   int intra_split = 0;
   bool parallel_rhs = false;
   bool indexed_cs = true;
@@ -64,7 +68,7 @@ struct FuzzConfig {
                                                      : "dips";
     return m + (strategy == Strategy::kLex ? "/lex" : "/mea") +
            " threads=" + std::to_string(threads) +
-           " batched=" + std::to_string(batched) +
+           " grouped=" + std::to_string(grouped) +
            " intra_split=" + std::to_string(intra_split) +
            " parallel_rhs=" + std::to_string(parallel_rhs) +
            " indexed_cs=" + std::to_string(indexed_cs) +
@@ -171,7 +175,6 @@ FuzzResult RunSchedule(const FuzzProgram& program,
   opts.matcher = config.matcher;
   opts.strategy = config.strategy;
   opts.trace_firings = true;
-  opts.batched_wm = config.batched;
   opts.match_threads = config.threads;
   opts.intra_rule_split_min_tokens = config.intra_split;
   opts.parallel_rhs = config.parallel_rhs;
@@ -190,7 +193,22 @@ FuzzResult RunSchedule(const FuzzProgram& program,
     result.load_error = loaded.ToString();
     return result;
   }
+  // Grouped: transaction sizes come from a fixed-seed generator, so both
+  // engines of a compared pair group the same schedule identically.
+  FuzzRng group_rng(7);
+  unsigned group_left = 0;
+  auto close_group = [&] {
+    if (!engine.wm().InTransaction()) return;
+    Status s = engine.wm().Commit();
+    if (!s.ok() && result.run_error.empty()) result.run_error = s.ToString();
+  };
   for (const FuzzOp& op : schedule) {
+    if (op.kind == FuzzOp::Kind::kRun) {
+      close_group();
+    } else if (config.grouped && !engine.wm().InTransaction()) {
+      engine.wm().Begin();
+      group_left = 1 + group_rng.Next(4);
+    }
     switch (op.kind) {
       case FuzzOp::Kind::kMake: {
         auto r = engine.MakeWme(
@@ -221,9 +239,11 @@ FuzzResult RunSchedule(const FuzzProgram& program,
         break;
       }
     }
+    if (engine.wm().InTransaction() && --group_left == 0) close_group();
     result.fingerprints.push_back(Fingerprint(engine, false));
     result.fingerprints_rowset.push_back(Fingerprint(engine, true));
   }
+  close_group();
   result.trace = out.str();
   result.events = events.str();
   std::ostringstream dump;
@@ -331,28 +351,28 @@ void CheckConfigSweep(MatcherKind matcher, unsigned seed) {
   std::vector<FuzzOp> schedule = fuzz::GenSchedule(rng, 28, true);
 
   for (Strategy strategy : {Strategy::kLex, Strategy::kMea}) {
-    for (bool batched : {true, false}) {
-      FuzzConfig base{matcher, strategy, 0, batched, 0, false};
+    for (bool grouped : {false, true}) {
+      FuzzConfig base{matcher, strategy, 0, grouped, 0, false};
       FuzzResult base_result = RunSchedule(program, schedule, base);
       // Generated programs must always load — a load failure here is a
       // generator bug, not a divergence.
       ASSERT_EQ(base_result.load_error, "")
           << "seed " << seed << "\n" << program.Source();
       std::vector<FuzzConfig> variants = {
-          {matcher, strategy, 4, batched, 0, false},
-          {matcher, strategy, 4, batched, 2, false},
-          {matcher, strategy, 4, batched, 2, true},
-          {matcher, strategy, 0, batched, 0, true},
-          {matcher, strategy, 0, batched, 0, false, /*indexed_cs=*/false},
+          {matcher, strategy, 4, grouped, 0, false},
+          {matcher, strategy, 4, grouped, 2, false},
+          {matcher, strategy, 4, grouped, 2, true},
+          {matcher, strategy, 0, grouped, 0, true},
+          {matcher, strategy, 0, grouped, 0, false, /*indexed_cs=*/false},
       };
       if (matcher == MatcherKind::kPlan) {
         // The cost-chosen execution order must be unobservable: emission
         // is canonicalized, so optimized plans (serial and parallel) stay
         // bit-identical to the textual-order baseline.
-        variants.push_back({matcher, strategy, 0, batched, 0, false,
+        variants.push_back({matcher, strategy, 0, grouped, 0, false,
                             /*indexed_cs=*/true, /*bulk_removal=*/true,
                             /*soa_memories=*/true, JoinOrder::kOptimized});
-        variants.push_back({matcher, strategy, 4, batched, 0, false,
+        variants.push_back({matcher, strategy, 4, grouped, 0, false,
                             /*indexed_cs=*/true, /*bulk_removal=*/true,
                             /*soa_memories=*/true, JoinOrder::kOptimized});
       }
@@ -384,38 +404,38 @@ void CheckRemoveHeavy(MatcherKind matcher, unsigned seed) {
       fuzz::GenSchedule(rng, 32, true, /*remove_pct=*/50);
 
   for (Strategy strategy : {Strategy::kLex, Strategy::kMea}) {
-    for (bool batched : {true, false}) {
-      FuzzConfig base{matcher, strategy, 0, batched, 0, false};
+    for (bool grouped : {false, true}) {
+      FuzzConfig base{matcher, strategy, 0, grouped, 0, false};
       FuzzResult base_result = RunSchedule(program, schedule, base);
       ASSERT_EQ(base_result.load_error, "")
           << "seed " << seed << "\n" << program.Source();
       std::vector<FuzzConfig> variants = {
-          {matcher, strategy, 4, batched, 0, false},
-          {matcher, strategy, 4, batched, 2, true},
+          {matcher, strategy, 4, grouped, 0, false},
+          {matcher, strategy, 4, grouped, 2, true},
       };
       if (matcher == MatcherKind::kRete) {
         // The per-token deletion ablation must be observationally
         // identical to the default bulk tree-deletion path.
-        variants.push_back({matcher, strategy, 0, batched, 0, false,
+        variants.push_back({matcher, strategy, 0, grouped, 0, false,
                             /*indexed_cs=*/true, /*bulk_removal=*/false});
-        variants.push_back({matcher, strategy, 4, batched, 0, false,
+        variants.push_back({matcher, strategy, 4, grouped, 0, false,
                             /*indexed_cs=*/true, /*bulk_removal=*/false});
       }
       // The tuple-layout (AoS) match-state ablation must be bit-identical
       // to the default columnar layout, serial and parallel.
-      variants.push_back({matcher, strategy, 0, batched, 0, false,
+      variants.push_back({matcher, strategy, 0, grouped, 0, false,
                           /*indexed_cs=*/true, /*bulk_removal=*/true,
                           /*soa_memories=*/false});
-      variants.push_back({matcher, strategy, 4, batched, 0, false,
+      variants.push_back({matcher, strategy, 4, grouped, 0, false,
                           /*indexed_cs=*/true, /*bulk_removal=*/true,
                           /*soa_memories=*/false});
       if (matcher == MatcherKind::kPlan) {
         // Optimized join order under retraction-heavy load: the unblock
         // re-searches and instantiation drops must stay bit-identical.
-        variants.push_back({matcher, strategy, 0, batched, 0, false,
+        variants.push_back({matcher, strategy, 0, grouped, 0, false,
                             /*indexed_cs=*/true, /*bulk_removal=*/true,
                             /*soa_memories=*/true, JoinOrder::kOptimized});
-        variants.push_back({matcher, strategy, 4, batched, 0, false,
+        variants.push_back({matcher, strategy, 4, grouped, 0, false,
                             /*indexed_cs=*/true, /*bulk_removal=*/true,
                             /*soa_memories=*/true, JoinOrder::kOptimized});
       }
@@ -445,11 +465,11 @@ void CheckCrossMatcher(unsigned seed) {
   FuzzConfig treat{MatcherKind::kTreat, strategy, 4};
   FuzzConfig dips{MatcherKind::kDips, strategy, 4};
   FuzzConfig plan{MatcherKind::kPlan, strategy, 4};
-  FuzzConfig rete_opt{MatcherKind::kRete, strategy, 0, true, 0, false,
+  FuzzConfig rete_opt{MatcherKind::kRete, strategy, 0, false, 0, false,
                       true, true, true, JoinOrder::kOptimized};
-  FuzzConfig treat_opt{MatcherKind::kTreat, strategy, 4, true, 0, false,
+  FuzzConfig treat_opt{MatcherKind::kTreat, strategy, 4, false, 0, false,
                        true, true, true, JoinOrder::kOptimized};
-  FuzzConfig plan_opt{MatcherKind::kPlan, strategy, 0, true, 0, false,
+  FuzzConfig plan_opt{MatcherKind::kPlan, strategy, 0, false, 0, false,
                       true, true, true, JoinOrder::kOptimized};
   // The reordered Rete/TREAT columns execute a rewritten rule whose token
   // positions are permuted, so their rows compare as multisets; the plan
@@ -487,17 +507,17 @@ void CheckPlanVsRete(unsigned seed, int neg_chance, int remove_pct) {
   std::vector<FuzzOp> schedule =
       fuzz::GenSchedule(rng, 28, true, remove_pct);
   for (Strategy strategy : {Strategy::kLex, Strategy::kMea}) {
-    for (bool batched : {true, false}) {
-      FuzzConfig rete{MatcherKind::kRete, strategy, 0, batched, 0, false};
+    for (bool grouped : {false, true}) {
+      FuzzConfig rete{MatcherKind::kRete, strategy, 0, grouped, 0, false};
       FuzzResult rete_result = RunSchedule(program, schedule, rete);
       ASSERT_EQ(rete_result.load_error, "")
           << "seed " << seed << "\n" << program.Source();
       FuzzConfig plans[] = {
-          {MatcherKind::kPlan, strategy, 0, batched, 0, false},
-          {MatcherKind::kPlan, strategy, 4, batched, 0, false},
-          {MatcherKind::kPlan, strategy, 0, batched, 0, false, true, true,
+          {MatcherKind::kPlan, strategy, 0, grouped, 0, false},
+          {MatcherKind::kPlan, strategy, 4, grouped, 0, false},
+          {MatcherKind::kPlan, strategy, 0, grouped, 0, false, true, true,
            true, JoinOrder::kOptimized},
-          {MatcherKind::kPlan, strategy, 4, batched, 0, false, true, true,
+          {MatcherKind::kPlan, strategy, 4, grouped, 0, false, true, true,
            true, JoinOrder::kOptimized},
       };
       for (const FuzzConfig& plan : plans) {
@@ -636,7 +656,7 @@ TEST(FuzzShrinker, ReducesScheduleAndKeepsDivergence) {
   FuzzRng shrink_rng(7);
   std::vector<FuzzOp> schedule = fuzz::GenSchedule(shrink_rng, 20, true);
   FuzzConfig a{MatcherKind::kRete, Strategy::kLex};
-  FuzzConfig b{MatcherKind::kRete, Strategy::kLex, 4, true, 2, true};
+  FuzzConfig b{MatcherKind::kRete, Strategy::kLex, 4, false, 2, true};
   // Identical configs modulo parallelism: no divergence, nothing to shrink.
   EXPECT_EQ(Check(program, schedule, a, b, Cmp::kFull), "");
 }

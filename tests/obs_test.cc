@@ -292,7 +292,7 @@ TEST(EngineObs, RunEmitsWellFormedTraceStream) {
   EXPECT_EQ(by_type["fire"], static_cast<int>(firings));
   EXPECT_EQ(by_type["rhs_apply"], static_cast<int>(firings));
   EXPECT_EQ(by_type["cycle_end"], static_cast<int>(firings));
-  EXPECT_GT(by_type["batch_commit"], 0);  // batched_wm defaults on
+  EXPECT_GT(by_type["batch_commit"], 0);
 }
 
 TEST(EngineObs, MatchStatsSnapshotAgreesWithComponents) {

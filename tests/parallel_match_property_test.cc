@@ -5,14 +5,14 @@
 // behavior must be bit-identical to the single-threaded baseline: same
 // firing sequence (rule + recency tags), same conflict sets, same final
 // working memory, same time-tag counter. Checked for every matcher ×
-// strategy × batched/per-WME delivery over random op sequences with
-// WM-mutating rules. Internal matcher counters (ReteStats etc.) are NOT
-// compared: the replay path legitimately skips the sequential path's
-// grouped-removal bookkeeping.
+// strategy over random op sequences with WM-mutating rules. Rete runs one
+// propagation algorithm with or without a pool, so its counters (and the
+// S-nodes') must match exactly too, the pool's own counters excepted.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -89,10 +89,24 @@ std::string Dump(Engine& engine) {
 /// One parallel configuration to pit against the sequential baseline.
 struct ParConfig {
   int threads = 0;
-  bool batched = true;
   int intra_split = 0;    // EngineOptions::intra_rule_split_min_tokens
   bool parallel_rhs = false;
 };
+
+/// The rete.* and snode.* counters, less those that count pool work.
+std::map<std::string, uint64_t> MatchCounters(const Engine& engine) {
+  std::map<std::string, uint64_t> out;
+  for (const auto& [name, value] : engine.metrics().SnapshotCounters()) {
+    if (name == "rete.parallel_batches" || name == "rete.intra_splits" ||
+        name == "rete.intra_slice_tasks") {
+      continue;
+    }
+    if (name.rfind("rete.", 0) == 0 || name.rfind("snode.", 0) == 0) {
+      out.emplace(name, value);
+    }
+  }
+  return out;
+}
 
 /// Drives a single-threaded and a parallel-configured engine through the
 /// same random add / remove / run schedule and asserts bit-identical
@@ -101,9 +115,7 @@ void CheckEquivalence(MatcherKind matcher, Strategy strategy,
                       const ParConfig& config, unsigned seed,
                       bool with_set_rules) {
   int threads = config.threads;
-  bool batched = config.batched;
   SCOPED_TRACE("threads=" + std::to_string(threads) +
-               " batched=" + std::to_string(batched) +
                " intra_split=" + std::to_string(config.intra_split) +
                " parallel_rhs=" + std::to_string(config.parallel_rhs) +
                " seed=" + std::to_string(seed));
@@ -112,7 +124,6 @@ void CheckEquivalence(MatcherKind matcher, Strategy strategy,
   seq_opts.matcher = par_opts.matcher = matcher;
   seq_opts.strategy = par_opts.strategy = strategy;
   seq_opts.trace_firings = par_opts.trace_firings = true;
-  seq_opts.batched_wm = par_opts.batched_wm = batched;
   seq_opts.match_threads = 0;
   par_opts.match_threads = threads;
   par_opts.intra_rule_split_min_tokens = config.intra_split;
@@ -163,6 +174,9 @@ void CheckEquivalence(MatcherKind matcher, Strategy strategy,
       ASSERT_EQ(Dump(seq), Dump(par)) << "step " << step;
     }
   }
+  if (matcher == MatcherKind::kRete) {
+    EXPECT_EQ(MatchCounters(seq), MatchCounters(par));
+  }
   // The baseline really is the ablation: no pool on the threads=0 side.
   EXPECT_EQ(seq.match_stats().pool.threads, 0u);
   if (threads > 0) {
@@ -174,20 +188,17 @@ void CheckEquivalence(MatcherKind matcher, Strategy strategy,
 void CheckAllConfigs(MatcherKind matcher, Strategy strategy, unsigned seed,
                      bool with_set_rules) {
   for (int threads : {1, 2, 4}) {
-    for (bool batched : {true, false}) {
-      CheckEquivalence(matcher, strategy, {threads, batched}, seed,
-                       with_set_rules);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+    CheckEquivalence(matcher, strategy, {threads}, seed, with_set_rules);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   // Intra-rule slicing and parallel RHS, separately and together, and a
   // parallel-RHS-only pool (no match threads).
   ParConfig extra[] = {
-      {4, true, 1, false},
-      {2, false, 2, false},
-      {2, true, 0, true},
-      {0, true, 0, true},
-      {4, true, 1, true},
+      {4, 1, false},
+      {2, 2, false},
+      {2, 0, true},
+      {0, 0, true},
+      {4, 1, true},
   };
   for (const ParConfig& config : extra) {
     CheckEquivalence(matcher, strategy, config, seed, with_set_rules);
@@ -230,8 +241,8 @@ TEST_P(ParallelMatchEquivalence, DipsMea) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelMatchEquivalence,
                          ::testing::Range(0, 6));
 
-// The parallel path actually engages: a batched multi-rule run with
-// threads > 0 must dispatch replay tasks through the pool.
+// The parallel path actually engages: a multi-rule run with threads > 0
+// must dispatch replay tasks through the pool.
 TEST(ParallelMatchEngaged, PoolRunsTasks) {
   for (MatcherKind matcher :
        {MatcherKind::kRete, MatcherKind::kTreat, MatcherKind::kDips}) {

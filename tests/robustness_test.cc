@@ -8,6 +8,7 @@
 
 #include "lang/lexer.h"
 #include "lang/parser.h"
+#include "lang/rule_base.h"
 #include "tests/test_util.h"
 
 namespace sorel {
@@ -77,6 +78,35 @@ TEST(RobustnessTest, DeeplyNestedExpressionsParse) {
   auto program =
       Parse("(literalize m)(p r (m) --> (bind <x> " + expr + "))");
   EXPECT_TRUE(program.ok());
+}
+
+// Hostile nesting depth must come back as a ParseError, not overflow the
+// parser's stack: through the engine and through the shared-base compile
+// the server uses.
+TEST(RobustnessTest, PathologicalNestingIsAParseError) {
+  constexpr int kDepth = 200000;
+  std::string expr(kDepth, '(');
+  expr += "1";
+  for (int i = 0; i < kDepth; ++i) expr += " + 1)";
+  std::string foreach_body;
+  for (int i = 0; i < kDepth; ++i) foreach_body += "(foreach <P> ";
+  foreach_body += "(write x)";
+  foreach_body += std::string(kDepth, ')');
+  const std::string sources[] = {
+      "(literalize m)(p r (m) --> (bind <x> " + expr + "))",
+      "(literalize m v)(p r { [m ^v <v>] <P> } --> " + foreach_body + ")",
+  };
+  for (const std::string& source : sources) {
+    Engine engine;
+    Status loaded = engine.LoadString(source);
+    EXPECT_EQ(loaded.code(), StatusCode::kParseError) << loaded.ToString();
+    EXPECT_NE(loaded.ToString().find("nested too deeply"), std::string::npos)
+        << loaded.ToString();
+    auto base = CompiledRuleBase::Compile(source);
+    ASSERT_FALSE(base.ok());
+    EXPECT_EQ(base.status().code(), StatusCode::kParseError)
+        << base.status().ToString();
+  }
 }
 
 TEST(RobustnessTest, RuntimeErrorPropagatesAndEngineStaysUsable) {

@@ -336,6 +336,117 @@ TEST_F(ServerRecoveryTest, SnapshotMidScheduleThenKillAtEveryTailBoundary) {
   }
 }
 
+// Logs written before every WM change became a ChangeBatch journaled a
+// make or remove outside a transaction as a `"direct":true` record. Such a
+// log must recover to the live session's state: a direct record replays as
+// the one-change batch that mutation is today. The test rewrites a live
+// session's client records into the older form (its schedule issues every
+// make and remove outside a transaction) and recovers from the result.
+TEST_F(ServerRecoveryTest, DirectRecordsFromOlderLogsRecover) {
+  for (const Config& config : kConfigs) {
+    FuzzRng rng(kSeeds[0]);
+    std::string source = GenProgram(rng, config.allow_set).Source();
+    std::vector<FuzzOp> schedule =
+        GenSchedule(rng, kSteps, /*with_runs=*/true);
+    SCOPED_TRACE(std::string(config.name) + " threads=" +
+                 std::to_string(config.threads) + "\nprogram:\n" + source +
+                 "\nschedule:\n" + fuzz::ScheduleToString(schedule));
+    SessionOptions options;
+    options.matcher = config.matcher;
+    options.match_threads = config.threads;
+
+    TempDir live_dir;
+    Fingerprint live;
+    std::string live_output;
+    {
+      auto session = Session::Open("s", source, live_dir.path(), options);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      for (const FuzzOp& op : schedule) ApplyOp(**session, op);
+      live = Capture(**session);
+      live_output = (*session)->DrainOutput();
+      ASSERT_TRUE((*session)->SyncWal().ok());
+    }
+
+    auto wal = ReadWal(live_dir.path() + "/s.wal");
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    TempDir old_dir;
+    size_t direct = 0;
+    {
+      WalWriter writer;
+      ASSERT_TRUE(writer.Open(old_dir.path() + "/s.wal").ok());
+      const std::string kBatched = "\"direct\":false";
+      for (const WalRecord& record : wal->records) {
+        std::string payload = record.payload;
+        size_t pos = payload.find(kBatched);
+        if (pos != std::string::npos) {
+          payload.replace(pos, kBatched.size(), "\"direct\":true");
+          ++direct;
+        }
+        ASSERT_TRUE(writer.Append(payload).ok());
+      }
+      ASSERT_TRUE(writer.Sync().ok());
+    }
+    ASSERT_GT(direct, 0u);
+
+    auto recovered = Session::Open("s", source, old_dir.path(), options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ((*recovered)->recovery().replayed_records, wal->records.size());
+    Fingerprint got = Capture(**recovered);
+    EXPECT_TRUE(got == live) << DiffFingerprints(live, got);
+    EXPECT_EQ((*recovered)->DrainOutput(), live_output);
+  }
+}
+
+// The same, against a log an older sorel_serve really wrote: the fixture
+// golden/direct_records.wal holds nine client commands issued outside any
+// transaction (seven journaled as `"direct":true` batches, two runs) on the
+// rules below. Recovering it must land where a live session running the
+// same commands does.
+TEST_F(ServerRecoveryTest, OlderServerWalWithDirectRecordsRecovers) {
+  const std::string rules =
+      "(literalize item id cat val)\n"
+      "(p promote { (item ^cat A ^val <v>) <i> } --> (modify <i> ^cat B))\n"
+      "(p lonely (item ^cat C ^id <n>) - (item ^cat B ^id <n>)"
+      " --> (write lonely <n> (crlf)))\n"
+      "(p big-b { [item ^cat B ^val <v>] <S> } :test ((sum <v>) > 10)"
+      " --> (write big (sum <v>) (crlf)))\n";
+  std::string file = __FILE__;
+  std::string fixture = file.substr(0, file.rfind('/') + 1) +
+                        "golden/direct_records.wal";
+  TempDir old_dir;
+  WriteFileBytes(old_dir.path() + "/s.wal", ReadFileBytes(fixture));
+  auto recovered = Session::Open("s", rules, old_dir.path(), {});
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->recovery().replayed_records, 9u);
+
+  TempDir live_dir;
+  auto live = Session::Open("s", rules, live_dir.path(), {});
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  Session& s = **live;
+  auto item = [&s](int64_t id, const char* cat, int64_t val) {
+    auto tag = s.Make("item",
+                      {{"id", Value::Int(id)},
+                       {"cat", Value::Symbol(
+                                   s.engine().symbols().Intern(cat))},
+                       {"val", Value::Int(val)}});
+    EXPECT_TRUE(tag.ok()) << tag.status().ToString();
+  };
+  item(1, "A", 5);
+  item(2, "C", 7);
+  item(2, "B", 8);
+  ASSERT_TRUE(s.Run(-1).ok());
+  ASSERT_TRUE(s.Remove(3).ok());
+  item(3, "A", 9);
+  ASSERT_TRUE(s.Run(-1).ok());
+  ASSERT_TRUE(s.Remove(2).ok());
+  item(4, "C", 1);
+
+  Fingerprint want = Capture(s);
+  Fingerprint got = Capture(**recovered);
+  EXPECT_TRUE(got == want) << DiffFingerprints(want, got);
+  EXPECT_EQ((*recovered)->DrainOutput(), s.DrainOutput());
+}
+
 }  // namespace
 }  // namespace server
 }  // namespace sorel

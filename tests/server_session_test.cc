@@ -188,7 +188,7 @@ TEST(SessionRecoveryTest, LsnsContinueAfterRecovery) {
     MustMake(**session, "C", 1, 1);
     MustMake(**session, "C", 2, 2);
     next_lsn = (*session)->next_lsn();
-    EXPECT_EQ(next_lsn, 3u);  // two direct records journaled
+    EXPECT_EQ(next_lsn, 3u);  // one batch record per make
   }
   auto recovered = Session::Open("s", kTupleRules, dir.path(), {});
   ASSERT_TRUE(recovered.ok());

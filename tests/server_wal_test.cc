@@ -253,8 +253,7 @@ TEST(CodecTest, BatchEntryRoundTrip) {
   changes.push_back(rm);
 
   std::string payload =
-      EncodeBatch(/*lsn=*/12, /*direct=*/false, changes, /*next_tag=*/44,
-                  symbols);
+      EncodeBatch(/*lsn=*/12, changes, /*next_tag=*/44, symbols);
   SymbolTable fresh;  // recovery interns into a new table
   auto entry = DecodeEntry(payload, &fresh);
   ASSERT_TRUE(entry.ok()) << entry.status().ToString();

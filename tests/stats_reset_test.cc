@@ -108,7 +108,6 @@ void CheckReset(MatcherKind matcher, int threads) {
   EXPECT_EQ(s.rete.tokens_deleted, 0u);
   EXPECT_EQ(s.rete.right_activations, 0u);
   EXPECT_EQ(s.rete.batches, 0u);
-  EXPECT_EQ(s.rete.grouped_removals, 0u);
   EXPECT_EQ(s.rete.token_pool_hits, 0u);
   EXPECT_EQ(s.rete.parallel_batches, 0u);
   EXPECT_EQ(s.rete.replay_tasks, 0u);
@@ -143,7 +142,6 @@ void CheckReset(MatcherKind matcher, int threads) {
   // WorkingMemory::Stats.
   EXPECT_EQ(s.wm.adds, 0u);
   EXPECT_EQ(s.wm.removes, 0u);
-  EXPECT_EQ(s.wm.direct_events, 0u);
   EXPECT_EQ(s.wm.batches, 0u);
   EXPECT_EQ(s.wm.batched_changes, 0u);
   EXPECT_EQ(s.wm.rollbacks, 0u);
